@@ -14,6 +14,12 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> perfbench tests: the benchmark harness still builds against the crate APIs"
+# perfbench is its own workspace (not a member above), so an API change
+# it consumes (e.g. AnalyzerCfg) would otherwise surface only when the
+# benchmark runs.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -153,10 +159,11 @@ for CUT in 40 50; do
     echo "    cut $CUT: $SALVAGE_LINE"
 done
 
-echo "==> differential campaign: sharded stores and the config grid"
+echo "==> differential campaign: sharded stores and the delivery x batch grid"
 # Sharded-vs-plain store equivalence (randomized, seeds checked in) and
-# the 240-case verdict sweep over shards x batch x delivery: any verdict
-# difference from the seed configuration fails here.
+# the 240-case verdict sweep over delivery (Direct/Messages) x batch
+# (1/8/64): any verdict difference from the default configuration fails
+# here.
 timeout 300 cargo test -q --offline -p rma-core --test sharded_prop
 timeout 600 cargo test -q --offline -p rma-suite --test grid_equivalence
 
@@ -170,11 +177,13 @@ timeout 120 "$BENCH_HOTPATH" --smoke --out "$SMOKE_DIR/bench_smoke.json"
 "$BENCH_HOTPATH" --check "$SMOKE_DIR/bench_smoke.json"
 "$BENCH_HOTPATH" --check BENCH_hotpath.json
 
-echo "==> bench regression guard: adaptive engine never loses to the seed config"
-# The checked-in baseline must show adaptive-flat at >= 1.0x the seed
-# configuration (fragmerge, shards=1, batch=1) on every workload row
-# with identical race verdicts — that is the PR 6 acceptance bar, and
-# regenerating the baseline with a regression re-introduced fails here.
+echo "==> bench regression guard: production engine never loses to the tree reference"
+# The checked-in baseline must show adaptive-flat (the production store)
+# at >= 1.0x the tree reference (fragmerge) on every replay workload
+# with identical race verdicts, and regenerating the baseline with a
+# regression re-introduced fails here. The live/churn row has no tree
+# row to compare with (the live analyzer only builds the production
+# store), so it is not guarded.
 # The freshly-measured smoke run gets a generous slack factor: 3-sample
 # smoke timings on a loaded CI machine are noisy, so the fresh-run
 # guard only catches gross regressions (an engine that got ~2x slower),
@@ -199,6 +208,21 @@ echo "==> rma-served smoke: spool daemon, concurrent tenants, deterministic stat
 # a counts-only artifact (no timestamps/rates), so the two runs must be
 # byte-identical.
 RMA_SERVED=./target/release/rma-served
+# The store engine is not selectable: retired flags must fail with the
+# usage text, never be silently ignored.
+for FLAG in "--engine tree" "--shards 4"; do
+    # shellcheck disable=SC2086 # FLAG is deliberately split into flag + value
+    if timeout 10 "$RMA_SERVED" serve --spool "$SMOKE_DIR/served-flags" $FLAG \
+        > /dev/null 2> "$SMOKE_DIR/served-flags.err"; then
+        echo "ERROR: rma-served serve accepted the removed flag '$FLAG'" >&2
+        exit 1
+    fi
+    if ! grep -q '^usage:' "$SMOKE_DIR/served-flags.err"; then
+        echo "ERROR: rma-served serve $FLAG failed without the usage error" >&2
+        exit 1
+    fi
+done
+echo "    removed flags --engine/--shards rejected with usage"
 SMOKE_A=tests/corpus/lo2_put_put_inwindow_target_race.rmatrc
 SMOKE_B=tests/corpus/ll_get_load_inwindow_origin_race.rmatrc
 for RUN in a b; do

@@ -3,7 +3,7 @@
 //! MUST-RMA, and the contribution — plus the fragmentation-only
 //! ablation.
 
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{Algorithm, AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_must::MustRma;
 use rma_sim::{Monitor, NullMonitor, Tee};
 use std::sync::Arc;
@@ -87,12 +87,7 @@ impl MethodRun {
                 let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
                     algorithm,
                     on_race: if abort { OnRace::Abort } else { OnRace::Collect },
-                    delivery: Delivery::Direct,
-                    node_budget: None,
-                    max_respawns: 3,
-                    shards: 1,
-                    batch_size: 1,
-                    engine: Default::default(),
+                    ..AnalyzerCfg::default()
                 }));
                 MethodRun {
                     monitor: analyzer.clone(),

@@ -1,27 +1,28 @@
 //! Hot-path detection benchmark with a reproducible baseline:
 //! replays the checked-in trace corpus plus synthetic high-churn
-//! workloads through seven store configurations — naive full-history,
-//! legacy RMA-Analyzer, fragmentation+merging over the AVL tree (plain
-//! and sharded), the flat sorted-vec engine (plain and sharded), and
-//! the adaptive engine (flat until promotion) — and emits
+//! workloads through six store configurations — naive full-history,
+//! legacy RMA-Analyzer, fragmentation+merging over the AVL tree (the
+//! paper-faithful reference), the flat sorted-vec engine (plain and
+//! sharded), and the adaptive engine (flat until promotion, the
+//! production store) — and emits
 //! `BENCH_hotpath.json` holding, per (workload, config): median
 //! events/second, peak node count, and fast-path hit rate.
 //!
-//! Besides the offline replays, the `live/churn` rows drive the full
+//! Besides the offline replays, the `live/churn` row drives the full
 //! `Messages`-mode analyzer pipeline (origin-side records, notification
 //! batching, receiver threads, epoch drain) through a two-rank simulated
-//! world: plain fragmerge (tree engine, 1 shard, batch 1) against the
-//! PR 5 sharded tree hot path (`shards` = 4, `batch_size` = 64) and the
-//! adaptive flat hot path (batch 64). The headline speedup ratios come
-//! from these rows.
+//! world on the production store with `batch_size` = 64. The live
+//! analyzer has no tree engine, so this row has no reference to be
+//! guarded against; the adaptive-vs-tree comparison is made on every
+//! replay workload.
 //!
 //! The JSON is byte-stable modulo the timing fields: `events`,
 //! `peak_nodes`, `fast_hit_rate` and `races` are pure functions of the
 //! (deterministic) workloads, so two runs differ only in
-//! `median_ns`/`best_ns`/`events_per_sec` (and the derived speedup
-//! ratios). `events_per_sec` derives from `best_ns`, the fastest
-//! sample: the replays are deterministic, so the cost floor is the
-//! measurement and scheduler noise is strictly one-sided.
+//! `median_ns`/`best_ns`/`events_per_sec`. `events_per_sec` derives from
+//! `best_ns`, the fastest sample: the replays are deterministic, so the
+//! cost floor is the measurement and scheduler noise is strictly
+//! one-sided.
 //!
 //! Flags:
 //!
@@ -32,9 +33,9 @@
 //!   benchmarking: required keys present, every number finite; exits
 //!   non-zero on violation;
 //! * `--guard <path> [--tolerance <f>]` — regression guard: on every
-//!   workload row of an existing report, `adaptive-flat` must reach at
-//!   least `tolerance` × the `fragmerge` (seed configuration)
-//!   events/sec — and report the identical race count. `tolerance`
+//!   workload of an existing report that has a `fragmerge` (tree
+//!   reference) row, `adaptive-flat` must reach at least `tolerance` ×
+//!   its events/sec — and report the identical race count. `tolerance`
 //!   defaults to `1.0` (for the frozen checked-in baseline); CI passes
 //!   a slack factor for freshly-measured smoke runs on noisy machines.
 
@@ -42,7 +43,7 @@ use rma_core::{
     AccessStore, AdaptiveCfg, AdaptiveStore, FlatStore, FragMergeStore, Interval, LegacyStore,
     NaiveStore, ShardedStore, SrcLoc,
 };
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, Engine, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, RankId, World, WorldCfg};
 use rma_substrate::bench::BenchGroup;
 use rma_trace::{replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader};
@@ -50,9 +51,12 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Shard count of the fixed-sharding configurations (matches the grid
-/// tested by `grid_equivalence.rs` and the chaos kill-worker sweep).
+/// Shard count of the fixed-sharding configuration, and the region count
+/// of the churn workloads.
 const SHARDS: usize = 4;
+
+/// Notification batch size of the live pipeline run.
+const LIVE_BATCH: usize = 64;
 
 /// The store configurations compared.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -60,18 +64,16 @@ enum Config {
     Naive,
     Legacy,
     FragMerge,
-    ShardedFragMerge,
     Flat,
     ShardedFlat,
     AdaptiveFlat,
 }
 
 impl Config {
-    const ALL: [Config; 7] = [
+    const ALL: [Config; 6] = [
         Config::Naive,
         Config::Legacy,
         Config::FragMerge,
-        Config::ShardedFragMerge,
         Config::Flat,
         Config::ShardedFlat,
         Config::AdaptiveFlat,
@@ -82,7 +84,6 @@ impl Config {
             Config::Naive => "naive",
             Config::Legacy => "legacy",
             Config::FragMerge => "fragmerge",
-            Config::ShardedFragMerge => "sharded-fragmerge",
             Config::Flat => "flat",
             Config::ShardedFlat => "sharded-flat",
             Config::AdaptiveFlat => "adaptive-flat",
@@ -94,10 +95,6 @@ impl Config {
             Config::Naive => Box::new(NaiveStore::new()),
             Config::Legacy => Box::new(LegacyStore::new()),
             Config::FragMerge => Box::new(FragMergeStore::new()),
-            Config::ShardedFragMerge => match domain {
-                Some(d) => Box::new(ShardedStore::with_domain(SHARDS, d, FragMergeStore::new)),
-                None => Box::new(ShardedStore::new(SHARDS, FragMergeStore::new)),
-            },
             Config::Flat => Box::new(FlatStore::new()),
             Config::ShardedFlat => match domain {
                 Some(d) => Box::new(ShardedStore::with_domain(SHARDS, d, FlatStore::new)),
@@ -194,16 +191,12 @@ fn synthetic_hotspot(accesses: u64) -> Trace {
 /// regions of rank 1's window. Origin-side records, notification
 /// batching, the receiver thread and the epoch drain are all on the
 /// measured path. Returns the analyzer for stats inspection.
-fn live_churn_run(engine: Engine, shards: usize, batch_size: usize, ops: u64) -> Arc<RmaAnalyzer> {
+fn live_churn_run(ops: u64) -> Arc<RmaAnalyzer> {
     let cfg = AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
-        node_budget: None,
-        max_respawns: 3,
-        shards,
-        batch_size,
-        engine,
+        batch_size: LIVE_BATCH,
+        ..AnalyzerCfg::default()
     };
     let mon = Arc::new(RmaAnalyzer::new(cfg));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone() as Arc<dyn Monitor>, move |ctx| {
@@ -340,17 +333,11 @@ struct Row {
     events_per_sec: f64,
 }
 
-fn report_json(smoke: bool, rows: &[Row], speedup: f64, adaptive_speedup: f64) -> String {
+fn report_json(smoke: bool, rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!(
-        "  \"sharded_speedup_churn\": {speedup:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_speedup_churn\": {adaptive_speedup:.3},\n"
-    ));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -382,8 +369,6 @@ fn check_report(text: &str) -> Result<(), String> {
         "\"bench\"",
         "\"smoke\"",
         "\"shards\"",
-        "\"sharded_speedup_churn\"",
-        "\"adaptive_speedup_churn\"",
         "\"rows\"",
     ] {
         if !text.contains(key) {
@@ -419,8 +404,7 @@ fn check_report(text: &str) -> Result<(), String> {
     if rows == 0 {
         return Err("no measurement rows".into());
     }
-    // Every numeric field — including the top-level speedup — must be a
-    // finite number.
+    // Every numeric field must be a finite number.
     for key in [
         "\"events\":",
         "\"peak_nodes\":",
@@ -429,8 +413,6 @@ fn check_report(text: &str) -> Result<(), String> {
         "\"median_ns\":",
         "\"best_ns\":",
         "\"events_per_sec\":",
-        "\"sharded_speedup_churn\":",
-        "\"adaptive_speedup_churn\":",
     ] {
         let mut from = 0;
         while let Some(pos) = text[from..].find(key) {
@@ -461,11 +443,11 @@ fn row_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
-/// The bench-smoke regression guard: on every workload row of `text`,
-/// the `adaptive-flat` configuration must reach at least `tolerance` ×
-/// the `fragmerge` (seed configuration) events/sec, and must report the
-/// identical race count — losing anywhere, or diverging on a verdict,
-/// is the regression this PR exists to prevent.
+/// The bench-smoke regression guard: on every workload of `text` with a
+/// `fragmerge` (tree reference) row, the `adaptive-flat` production
+/// engine must reach at least `tolerance` × its events/sec, and must
+/// report the identical race count — losing anywhere, or diverging on
+/// a verdict, is a regression.
 fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
     // (workload, config) -> (events_per_sec, races)
     let mut measured: Vec<(String, String, f64, u64)> = Vec::new();
@@ -654,42 +636,33 @@ fn main() -> ExitCode {
             });
         }
     }
-    // Live `Messages`-pipeline comparison: plain fragmerge (tree,
-    // unbatched, unsharded — the seed configuration) against the PR 5
-    // sharded tree hot path and the adaptive flat hot path, both with
-    // batch_size 64. One bench iteration is one complete two-rank world
-    // run.
+    // Live `Messages`-pipeline run on the production store, batch 64.
+    // One bench iteration is one complete two-rank world run.
     let live_ops: u64 = if smoke { 2_000 } else { 100_000 };
     group.sample_size(if smoke { 3 } else { 7 });
-    for (cname, engine, shards, batch) in [
-        ("fragmerge", Engine::Tree, 1usize, 1usize),
-        ("sharded-fragmerge", Engine::Tree, SHARDS, 64),
-        ("adaptive-flat", Engine::Adaptive, 1, 64),
-    ] {
-        // Deterministic pass for the stats columns, outside the timer.
-        let mon = live_churn_run(engine, shards, batch, live_ops);
-        let stats: Vec<_> = mon.window_stats().into_iter().flatten().collect();
-        let recorded: u64 = stats.iter().map(|s| s.recorded as u64).sum();
-        let fast: u64 = stats.iter().map(|s| s.fast_hits as u64).sum();
-        let fast_hit_rate = if recorded == 0 { 0.0 } else { fast as f64 / recorded as f64 };
-        let peak_nodes = mon.total_peak_nodes();
-        group.bench(format!("live/churn/{cname}"), || {
-            black_box(live_churn_run(engine, shards, batch, live_ops).races().len())
-        });
-        let res = group.results().last().expect("just benched");
-        let (median_ns, best_ns) = (res.median_ns, best_sample(res));
-        rows.push(Row {
-            workload: "live/churn".to_string(),
-            config: cname,
-            events: live_ops as usize,
-            peak_nodes,
-            fast_hit_rate,
-            races: 0,
-            median_ns,
-            best_ns,
-            events_per_sec: live_ops as f64 / (best_ns / 1e9),
-        });
-    }
+    // Deterministic pass for the stats columns, outside the timer.
+    let mon = live_churn_run(live_ops);
+    let stats: Vec<_> = mon.window_stats().into_iter().flatten().collect();
+    let recorded: u64 = stats.iter().map(|s| s.recorded as u64).sum();
+    let fast: u64 = stats.iter().map(|s| s.fast_hits as u64).sum();
+    let fast_hit_rate = if recorded == 0 { 0.0 } else { fast as f64 / recorded as f64 };
+    let peak_nodes = mon.total_peak_nodes();
+    group.bench("live/churn/adaptive-flat", || {
+        black_box(live_churn_run(live_ops).races().len())
+    });
+    let res = group.results().last().expect("just benched");
+    let (median_ns, best_ns) = (res.median_ns, best_sample(res));
+    rows.push(Row {
+        workload: "live/churn".to_string(),
+        config: "adaptive-flat",
+        events: live_ops as usize,
+        peak_nodes,
+        fast_hit_rate,
+        races: 0,
+        median_ns,
+        best_ns,
+        events_per_sec: live_ops as f64 / (best_ns / 1e9),
+    });
     group.finish();
 
     let eps = |workload: &str, cfg: &str| {
@@ -700,13 +673,13 @@ fn main() -> ExitCode {
     };
     let replay_speedup =
         eps("synthetic/churn", "adaptive-flat") / eps("synthetic/churn", "fragmerge");
-    let speedup = eps("live/churn", "sharded-fragmerge") / eps("live/churn", "fragmerge");
-    let adaptive_speedup = eps("live/churn", "adaptive-flat") / eps("live/churn", "fragmerge");
     println!("\nadaptive-flat vs fragmerge, offline replay of synthetic/churn: {replay_speedup:.2}x");
-    println!("sharded-fragmerge (shards={SHARDS}, batch=64) vs fragmerge, live pipeline: {speedup:.2}x");
-    println!("adaptive-flat (batch=64) vs fragmerge, live pipeline: {adaptive_speedup:.2}x");
+    println!(
+        "adaptive-flat (batch={LIVE_BATCH}), live pipeline: {:.0} events/sec",
+        eps("live/churn", "adaptive-flat")
+    );
 
-    let json = report_json(smoke, &rows, speedup, adaptive_speedup);
+    let json = report_json(smoke, &rows);
     if let Err(e) = check_report(&json) {
         eprintln!("bench_hotpath: generated report fails its own schema check: {e}");
         return ExitCode::FAILURE;

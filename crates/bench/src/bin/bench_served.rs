@@ -3,7 +3,8 @@
 //! pipeline — chunked feeds over the bounded queues, round-robin
 //! scheduling, per-stream decode and detector replay, structured
 //! shutdown — at several pool sizes, against a direct in-process
-//! `replay` of the same traces (the no-service cost floor), plus full
+//! `replay_trace` of the same traces over the store the Service builds
+//! (the no-service cost floor, same engine on both sides), plus full
 //! spool-daemon passes (WAL admission, verdict publishes) at every
 //! `--durability` fsync discipline so the durability tax is a measured
 //! number. Emits `BENCH_served.json` holding, per configuration:
@@ -26,11 +27,13 @@
 //!   non-zero on violation.
 
 use rma_served::daemon::{run_daemon, DaemonCfg, DaemonExit};
-use rma_served::{Durability, ServeCfg, Service, Spool};
+use rma_served::{resolve_rcfg, Durability, ServeCfg, Service, Spool};
 use rma_core::{Interval, SrcLoc};
 use rma_substrate::fs::Fs;
 use rma_suite::{generate_suite, run_case_with_monitor};
-use rma_trace::{replay, Detector, Trace, TraceEvent, TraceHeader, TraceWriter};
+use rma_trace::{
+    replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader, TraceWriter,
+};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +56,14 @@ const SPOOL_MODES: [(&str, Durability); 3] = [
     ("spool/batch", Durability::Batch),
     ("spool/strict", Durability::Strict),
 ];
+
+/// Replays `trace` through the store the Service builds for every
+/// stream (`ServeCfg::default()`, algorithm resolved from its detector)
+/// — the direct rows compare the service against the same engine.
+fn direct_replay(trace: &Trace) -> ReplayOutcome {
+    let rcfg = resolve_rcfg(&ServeCfg::default());
+    replay_trace(trace, Box::new(StoreTarget::new(move || rcfg.build_store(None))))
+}
 
 struct Workload {
     streams: Vec<Vec<u8>>,
@@ -95,7 +106,7 @@ fn record_large(regions: u64, per_region: u64) -> LargeStream {
         header: TraceHeader { version: 1, nranks: 1, seed: 0x5EED, app: "large".into() },
         streams: vec![ev],
     };
-    let outcome = replay(&trace, Detector::FragMerge);
+    let outcome = direct_replay(&trace);
     LargeStream { bytes: trace.encode(), events: outcome.events, races: outcome.races.len() }
 }
 
@@ -109,7 +120,7 @@ fn record_workload(n: usize) -> Workload {
         let writer = Arc::new(TraceWriter::new(spec.name(), 0x5EED));
         run_case_with_monitor(spec, writer.clone());
         let trace = writer.trace();
-        let outcome = replay(&trace, Detector::FragMerge);
+        let outcome = direct_replay(&trace);
         events += outcome.events;
         races += outcome.races.len();
         streams.push(trace.encode());
@@ -197,7 +208,7 @@ fn serve_large(l: &LargeStream) -> (u64, u64) {
 /// Direct in-process replay of the large stream — its no-service floor.
 fn direct_large(l: &LargeStream) -> (u64, u64) {
     let trace = rma_trace::Trace::decode(&l.bytes).expect("large stream decodes");
-    let out = replay(&trace, Detector::FragMerge);
+    let out = direct_replay(&trace);
     (out.events as u64, out.races.len() as u64)
 }
 
@@ -207,7 +218,7 @@ fn direct_batch(w: &Workload) -> (u64, u64) {
     let mut races = 0u64;
     for bytes in &w.streams {
         let trace = rma_trace::Trace::decode(bytes).expect("bench stream decodes");
-        let out = replay(&trace, Detector::FragMerge);
+        let out = direct_replay(&trace);
         events += out.events as u64;
         races += out.races.len() as u64;
     }

@@ -434,22 +434,6 @@ impl AccessStore for FragMergeStore {
     }
 }
 
-impl crate::sharded::ShardableStore for FragMergeStore {
-    fn check_access(&self, acc: &MemAccess) -> Option<RaceReport> {
-        self.check(acc)
-    }
-
-    fn record_unchecked(&mut self, acc: MemAccess) {
-        self.stats.recorded += 1;
-        self.apply(acc);
-    }
-
-    fn record_isolated(&mut self, acc: MemAccess) {
-        self.stats.recorded += 1;
-        self.insert_isolated(acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

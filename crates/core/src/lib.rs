@@ -29,8 +29,10 @@
 //! lower-bound search, in-place splicing), and [`AdaptiveStore`] starts
 //! flat-unsharded and promotes to a range-sharded flat layout
 //! ([`ShardedStore`]`<`[`FlatStore`]`>`) once the trace grows or churns
-//! past a threshold. All engines are differentially verified against
-//! [`FragMergeStore`].
+//! past a threshold. [`AdaptiveStore`] is the production engine (the
+//! one the analyzer and the service build); [`FragMergeStore`] stays the
+//! paper-faithful reference every engine is differentially verified
+//! against.
 //!
 //! The crate is self-contained: it knows nothing about how accesses are
 //! produced. The companion crates `rma-sim` (an MPI-RMA runtime simulator)

@@ -14,8 +14,8 @@
 //! is O(1) instead of O(shards)). A new access that does not intersect
 //! *or touch* the cached hull of a shard provably cannot conflict with
 //! — or merge into — anything stored there, so the piece is inserted
-//! directly ([`ShardableStore::record_isolated`]) and the AVL walk is
-//! skipped entirely. Touching accesses deliberately take the slow path:
+//! directly ([`ShardableStore::record_isolated`]) and the inner search
+//! is skipped entirely. Touching accesses deliberately take the slow path:
 //! they cannot race, but the merging pass may fuse them, and skipping it
 //! would change the stored contents. [`StoreStats::fast_hits`] counts
 //! *logical* accesses whose every piece cheap-rejected (never pieces, so
@@ -26,9 +26,13 @@
 //! A store constructed with **one shard** degenerates to a true
 //! passthrough: `record`/`clear`/`restore`/`stats` forward straight to
 //! the inner store with no boundary routing, no piece splitting and no
-//! wrapper hull bookkeeping, so the `shards = 1` default costs nothing
-//! over the unwrapped store (the regression PR 5 shipped on small corpus
-//! traces).
+//! wrapper hull bookkeeping, so a one-shard store costs nothing over
+//! the unwrapped store.
+//!
+//! The production inner store is [`crate::FlatStore`], inside
+//! [`crate::AdaptiveStore`] after promotion; the tree
+//! [`crate::FragMergeStore`] is the unsharded reference it is checked
+//! against.
 //!
 //! # Equivalence
 //!
@@ -351,7 +355,7 @@ fn bounding(accs: &[MemAccess]) -> Option<Interval> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragmerge::FragMergeStore;
+    use crate::flat::FlatStore;
     use crate::{AccessKind, RankId, SrcLoc};
     use AccessKind::*;
 
@@ -368,8 +372,8 @@ mod tests {
         acc_by(lo, hi, kind, 0, line)
     }
 
-    fn sharded(n: usize, domain: Interval) -> ShardedStore<FragMergeStore> {
-        ShardedStore::with_domain(n, domain, FragMergeStore::new)
+    fn sharded(n: usize, domain: Interval) -> ShardedStore<FlatStore> {
+        ShardedStore::with_domain(n, domain, FlatStore::new)
     }
 
     /// Even split of a small domain: cuts at 25/50/75.
@@ -472,7 +476,7 @@ mod tests {
     /// the epoch accounting and the fast path.
     #[test]
     fn single_shard_is_passthrough() {
-        let mut plain = FragMergeStore::new();
+        let mut plain = FlatStore::new();
         let mut one = sharded(1, Interval::new(0, 999));
         let seq = [
             acc(10, 19, LocalRead, 1),
@@ -530,7 +534,7 @@ mod tests {
     /// Full-`u64` addresses and a full-domain interval across 16 shards.
     #[test]
     fn full_u64_domain_and_interval() {
-        let mut s = ShardedStore::new(16, FragMergeStore::new);
+        let mut s = ShardedStore::new(16, FlatStore::new);
         s.record(acc(0, Addr::MAX, LocalRead, 1)).unwrap();
         assert_eq!(s.len(), 16);
         s.record(acc(Addr::MAX, Addr::MAX, LocalRead, 1)).unwrap();
@@ -588,7 +592,7 @@ mod tests {
     #[test]
     fn budgeted_shards_stay_conservative() {
         let mut s = ShardedStore::with_domain(4, Interval::new(0, 9999), || {
-            FragMergeStore::with_budget(4)
+            FlatStore::with_budget(4)
         });
         for i in 0..100u64 {
             s.record(acc_by(i * 100, i * 100 + 9, RmaRead, 1, i as u32)).unwrap();

@@ -1,5 +1,5 @@
-//! Differential property campaign: `ShardedStore<FragMergeStore>` must
-//! be *verdict-equivalent* to a plain `FragMergeStore` — same
+//! Differential property campaign: `ShardedStore<FlatStore>` must be
+//! *verdict-equivalent* to the plain tree `FragMergeStore` — same
 //! race-or-not answer on every record, same per-address stored content —
 //! for shard counts {1, 2, 4, 16}, on random interval workloads biased
 //! toward the nasty spots: intervals straddling shard cuts, `u64::MAX`
@@ -15,11 +15,10 @@
 //! tests at the bottom pin a few seeds permanently (shrunk streams stay
 //! replayable from the seed alone, so the seed *is* the regression).
 //!
-//! The same streams also drive the flat-layout engines: `FlatStore`
-//! (exact snapshot + stats equality with the plain store),
-//! `ShardedStore<FlatStore>`, and `AdaptiveStore` with a deliberately
-//! tiny promotion threshold so every stream of any size exercises the
-//! flat→sharded promotion mid-sequence.
+//! The same streams also drive the unsharded engines: `FlatStore`
+//! (exact snapshot + stats equality with the plain store) and
+//! `AdaptiveStore` with a deliberately tiny promotion threshold so every
+//! stream of any size exercises the flat→sharded promotion mid-sequence.
 
 use rma_core::{
     AccessKind, AccessStore, AdaptiveCfg, AdaptiveStore, FlatStore, FragMergeStore, Interval,
@@ -96,7 +95,7 @@ fn normalize(snap: &[MemAccess]) -> Vec<MemAccess> {
 fn check_equivalence(ops: &[Op]) {
     for &n in &SHARD_COUNTS {
         let mut plain = FragMergeStore::new();
-        let mut sharded = ShardedStore::new(n, FragMergeStore::new);
+        let mut sharded = ShardedStore::new(n, FlatStore::new);
         for (i, op) in ops.iter().enumerate() {
             match op {
                 Op::Clear => {
@@ -123,19 +122,24 @@ fn check_equivalence(ops: &[Op]) {
         let (ps, ss) = (plain.stats(), sharded.stats());
         assert_eq!(ps.races, ss.races, "race totals diverge at {n} shards");
         assert_eq!(ps.recorded, ss.recorded, "recorded totals diverge at {n} shards");
+        assert!(
+            ss.fast_hits <= ss.recorded,
+            "fast_hits {} exceeds logical accesses {} at {n} shards",
+            ss.fast_hits,
+            ss.recorded
+        );
     }
     check_engine_equivalence(ops);
 }
 
-/// The flat-layout engines run the same differential campaign against
-/// the plain `FragMergeStore` oracle. `FlatStore` shares the fragment /
+/// The unsharded engines run the same differential campaign against the
+/// plain `FragMergeStore` oracle. `FlatStore` shares the fragment /
 /// merge helpers with the tree, so its snapshot must be byte-identical
-/// (no `normalize`); the sharded and adaptive variants are compared
-/// modulo boundary splits like the tree-backed sharded store.
+/// (no `normalize`); the adaptive store is compared modulo boundary
+/// splits like the sharded store above.
 fn check_engine_equivalence(ops: &[Op]) {
     let mut plain = FragMergeStore::new();
     let mut flat = FlatStore::new();
-    let mut sharded_flat = ShardedStore::new(4, FlatStore::new);
     // Tiny promotion threshold: streams of every size cross it, so the
     // flat→sharded handoff happens mid-sequence, not just at scale.
     let mut adaptive = AdaptiveStore::with_cfg(AdaptiveCfg {
@@ -148,31 +152,26 @@ fn check_engine_equivalence(ops: &[Op]) {
             Op::Clear => {
                 plain.clear();
                 flat.clear();
-                sharded_flat.clear();
                 adaptive.clear();
             }
             Op::Access(acc) => {
                 let p = plain.record(*acc).is_err();
                 let f = flat.record(*acc).is_err();
-                let sf = sharded_flat.record(*acc).is_err();
                 let ad = adaptive.record(*acc).is_err();
                 assert_eq!(p, f, "op {i}: flat verdict diverges for {acc:?}");
-                assert_eq!(p, sf, "op {i}: sharded-flat verdict diverges for {acc:?}");
                 assert_eq!(p, ad, "op {i}: adaptive verdict diverges for {acc:?}");
             }
         }
         let want = plain.snapshot();
         assert_eq!(want, flat.snapshot(), "op {i}: flat contents diverge");
-        let canon = normalize(&want);
-        assert_eq!(canon, normalize(&sharded_flat.snapshot()), "op {i}: sharded-flat contents diverge");
-        assert_eq!(canon, normalize(&adaptive.snapshot()), "op {i}: adaptive contents diverge");
+        assert_eq!(
+            normalize(&want),
+            normalize(&adaptive.snapshot()),
+            "op {i}: adaptive contents diverge"
+        );
     }
     let ps = plain.stats();
-    for (name, s) in [
-        ("flat", flat.stats()),
-        ("sharded-flat", sharded_flat.stats()),
-        ("adaptive", adaptive.stats()),
-    ] {
+    for (name, s) in [("flat", flat.stats()), ("adaptive", adaptive.stats())] {
         assert_eq!(ps.races, s.races, "{name}: race totals diverge");
         assert_eq!(ps.recorded, s.recorded, "{name}: recorded totals diverge");
         assert!(

@@ -133,13 +133,8 @@ fn messages_delivery_equivalent() {
     for (algorithm, want) in [(Algorithm::FragMerge, true), (Algorithm::Legacy, true)] {
         let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
             algorithm,
-            on_race: OnRace::Abort,
             delivery: Delivery::Messages,
-            node_budget: None,
-            max_respawns: 3,
-            shards: 1,
-            batch_size: 1,
-            engine: Default::default(),
+            ..AnalyzerCfg::default()
         }));
         let out = World::run(WorldCfg::with_ranks(3), mon.clone(), |ctx| {
             let win = ctx.win_allocate(64);
@@ -160,14 +155,8 @@ fn messages_delivery_equivalent() {
 #[test]
 fn collect_mode_does_not_abort() {
     let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
-        delivery: Delivery::Direct,
-        node_budget: None,
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
         let win = ctx.win_allocate(64);

@@ -40,14 +40,9 @@ fn windows_are_isolated() {
 #[test]
 fn messages_delivery_multiwindow() {
     let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
-        node_budget: None,
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let out = World::run(WorldCfg::with_ranks(4), mon.clone(), |ctx| {
         let w1 = ctx.win_allocate(256);
@@ -83,13 +78,7 @@ fn messages_delivery_multiwindow() {
 fn stride_extension_in_runtime() {
     let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
         algorithm: Algorithm::StrideExtension,
-        on_race: OnRace::Abort,
-        delivery: Delivery::Direct,
-        node_budget: None,
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
         let win = ctx.win_allocate(16 * 512);

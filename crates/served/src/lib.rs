@@ -91,7 +91,8 @@ pub mod wal;
 pub use daemon::{run_daemon, DaemonCfg, DaemonExit};
 pub use recovery::{recover, RecoveryStats};
 pub use service::{
-    ChaosCfg, DrainOutcome, ServeCfg, ServeError, Service, StreamHandle, StreamReport, Tier,
+    resolve_rcfg, ChaosCfg, DrainOutcome, ServeCfg, ServeError, Service, StreamHandle,
+    StreamReport, Tier,
 };
 pub use spool::{parse_stream_stem, shed_body, verdict_body, PublishOutcome, Spool};
 pub use stats::{check_stats_json, render_stats_json, ServedStats, TenantStats};

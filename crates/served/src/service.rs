@@ -120,8 +120,8 @@ pub struct ChaosCfg {
 pub struct ServeCfg {
     /// Detector every stream is replayed through.
     pub detector: Detector,
-    /// Store-shape knobs (`engine` / `shards` / `node_budget`) for the
-    /// per-stream detector stores, via [`AnalyzerCfg::build_store`].
+    /// Store knobs (`node_budget`) for the per-stream detector stores,
+    /// via [`AnalyzerCfg::build_store`].
     /// `algorithm` is overridden by `detector`; `delivery`/`batch_size`
     /// are live-capture knobs with no effect on offline replay.
     pub analyzer: AnalyzerCfg,
@@ -959,7 +959,7 @@ fn deadline_loop(inner: &Arc<Inner>) {
 
 /// `cfg.analyzer` with `algorithm` forced to the detector's — the
 /// store configuration every stream is actually replayed under.
-pub(crate) fn resolve_rcfg(cfg: &ServeCfg) -> AnalyzerCfg {
+pub fn resolve_rcfg(cfg: &ServeCfg) -> AnalyzerCfg {
     let mut rcfg = cfg.analyzer;
     if let Some(algo) = cfg.detector.algorithm() {
         rcfg.algorithm = algo;
@@ -998,7 +998,7 @@ pub(crate) fn report_for_end(
             let gauge = gauge.clone();
             replay_trace(
                 &end.trace,
-                Box::new(StoreTarget::new(move || rcfg.build_store_metered(None, &gauge))),
+                Box::new(StoreTarget::new(move || rcfg.build_store_metered(&gauge))),
             )
         }
         (_, None) => {

@@ -9,7 +9,7 @@
 
 use crate::case::{SUITE_RANKS, ORIGIN1, ORIGIN2, TARGET};
 use crate::run::Tool;
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{Algorithm, AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_must::MustRma;
 use rma_sim::{AccumOp, Monitor, RankCtx, RankId, World, WorldCfg};
 use std::sync::Arc;
@@ -149,12 +149,7 @@ pub fn run_accum_case(partner: AccumPartner, tool: Tool) -> bool {
             let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
                 algorithm,
                 on_race: OnRace::Collect,
-                delivery: Delivery::Direct,
-                node_budget: None,
-                max_respawns: 3,
-                shards: 1,
-                batch_size: 1,
-                engine: Default::default(),
+                ..AnalyzerCfg::default()
             }));
             let out =
                 World::run(cfg, mon.clone() as Arc<dyn Monitor>, |ctx| partner.body(ctx));

@@ -35,7 +35,7 @@
 
 use crate::case::{CaseSpec, SUITE_RANKS};
 use crate::run::run_case_with_cfg;
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_must::{MustCfg, MustRma, OnRace as MustOnRace};
 use rma_sim::{FaultKind, FaultPlan, Monitor, RunOutcome, Tee, WorldCfg};
 use std::sync::Arc;
@@ -180,32 +180,24 @@ pub fn classify(outcome: &RunOutcome<()>, detector_raced: bool) -> Result<ChaosV
     Ok(ChaosVerdict::Clean)
 }
 
-/// The batched + sharded analyzer configuration additionally exercised
-/// by every kill-worker scenario: in-flight notification *batches* at
-/// the moment of the kill must redeliver exactly-once through the same
-/// journal machinery as single notes, and sharded stores must
-/// checkpoint/restore like plain ones.
-const CHAOS_GRID_SHARDS: usize = 4;
+/// The batched analyzer configuration additionally exercised by every
+/// kill-worker scenario: in-flight notification *batches* at the moment
+/// of the kill must redeliver exactly-once through the same journal
+/// machinery as single notes.
 const CHAOS_GRID_BATCH: usize = 8;
 
 /// The supervised detector stack used for kill-worker scenarios: the
 /// RMA-Analyzer in its receiver-thread architecture tee'd with the
 /// MUST-RMA-like detector, both collecting races and both carrying a
-/// respawn budget of [`CHAOS_RESPAWN_BUDGET`]. `shards`/`batch_size`
-/// select the analyzer's hot-path configuration.
-fn supervised_stack(
-    shards: usize,
-    batch_size: usize,
-) -> (Arc<dyn Monitor>, Arc<RmaAnalyzer>, Arc<MustRma>) {
+/// respawn budget of [`CHAOS_RESPAWN_BUDGET`]. `batch_size` selects the
+/// analyzer's notification batching.
+fn supervised_stack(batch_size: usize) -> (Arc<dyn Monitor>, Arc<RmaAnalyzer>, Arc<MustRma>) {
     let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
-        node_budget: None,
         max_respawns: CHAOS_RESPAWN_BUDGET,
-        shards,
         batch_size,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let must = Arc::new(MustRma::with_cfg(
         SUITE_RANKS,
@@ -243,14 +235,9 @@ pub fn run_chaos_scenario(
     }
 
     let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
-        delivery: Delivery::Direct,
-        node_budget: None,
         max_respawns: CHAOS_RESPAWN_BUDGET,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let started = Instant::now();
     let outcome = run_case_with_cfg(spec, mon.clone() as Arc<dyn Monitor>, cfg);
@@ -277,7 +264,7 @@ fn run_kill_worker_scenario(
     let started = Instant::now();
 
     // Faulted run on the supervised stack (seed configuration).
-    let (tee, analyzer, must) = supervised_stack(1, 1);
+    let (tee, analyzer, must) = supervised_stack(1);
     let outcome = run_case_with_cfg(spec, tee, cfg);
     let raced =
         outcome.raced() || !analyzer.races().is_empty() || !must.races().is_empty();
@@ -285,24 +272,24 @@ fn run_kill_worker_scenario(
     let verdict = classify(&outcome, raced)
         .map_err(|e| format!("seed {seed} ({} / {plan:?}): {e}", spec.name()))?;
 
-    // The same fault on the batched + sharded stack: a kill landing with
+    // The same fault on the batched stack: a kill landing with
     // notification batches in flight must still end in a structured
     // verdict, and a surviving run must reach the same raced-verdict.
-    let (tee_g, analyzer_g, must_g) = supervised_stack(CHAOS_GRID_SHARDS, CHAOS_GRID_BATCH);
+    let (tee_g, analyzer_g, must_g) = supervised_stack(CHAOS_GRID_BATCH);
     let outcome_g = run_case_with_cfg(spec, tee_g, cfg);
     let raced_g =
         outcome_g.raced() || !analyzer_g.races().is_empty() || !must_g.races().is_empty();
     let verdict_g = classify(&outcome_g, raced_g).map_err(|e| {
-        format!("seed {seed} ({} / {plan:?}, batched+sharded): {e}", spec.name())
+        format!("seed {seed} ({} / {plan:?}, batched): {e}", spec.name())
     })?;
 
     // Equivalence: a recovered run must reach the fault-free verdict.
     // Only comparable when the faulted run survived to a verdict at all.
-    // The batched + sharded run, when *it* survives, folds into the same
+    // The batched run, when *it* survives, folds into the same
     // flag (logical AND) — the JSON shape stays untouched.
     let equivalent = match verdict {
         ChaosVerdict::Raced | ChaosVerdict::Clean => {
-            let (tee_b, analyzer_b, must_b) = supervised_stack(1, 1);
+            let (tee_b, analyzer_b, must_b) = supervised_stack(1);
             let baseline_cfg = WorldCfg { fault: None, ..cfg };
             let baseline = run_case_with_cfg(spec, tee_b, baseline_cfg);
             let baseline_raced = baseline.raced()

@@ -2,7 +2,7 @@
 //! reports whether a race was flagged.
 
 use crate::case::{Action, CaseSpec, Op, Role, Site, Variant, ORIGIN1, SUITE_RANKS, TARGET};
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{Algorithm, AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_must::MustRma;
 use rma_sim::{Buf, Monitor, RankCtx, WinId, World, WorldCfg};
 use std::sync::Arc;
@@ -149,12 +149,7 @@ pub fn run_case(spec: &CaseSpec, tool: Tool) -> bool {
             let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
                 algorithm,
                 on_race: OnRace::Collect,
-                delivery: Delivery::Direct,
-                node_budget: None,
-                max_respawns: 3,
-                shards: 1,
-                batch_size: 1,
-                engine: Default::default(),
+                ..AnalyzerCfg::default()
             }));
             let out = World::run(cfg, mon.clone() as Arc<dyn Monitor>, |ctx| {
                 case_body(ctx, spec)

@@ -4,21 +4,16 @@
 //! *add* reported races (false positives) but must never *hide* one —
 //! every case the exact detector flags as racy is still flagged.
 
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{Algorithm, AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_core::StoreStats;
 use rma_suite::{generate_suite, run_case_with_monitor};
 use std::sync::Arc;
 
 fn budgeted_cfg(cap: usize) -> AnalyzerCfg {
     AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
-        delivery: Delivery::Direct,
         node_budget: Some(cap),
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+    ..AnalyzerCfg::default()
     }
 }
 

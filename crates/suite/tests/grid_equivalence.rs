@@ -1,19 +1,21 @@
-//! Verdict-equivalence campaign over the analyzer configuration grid:
+//! Verdict-equivalence campaign over the analyzer's delivery grid:
 //! every one of the 240 suite cases must produce the *same* race-or-not
 //! verdict — and therefore the same confusion matrix — under every
-//! combination of store engine (`Tree`/`Flat`/`Adaptive`), sharding
-//! (`shards` ∈ {1, 4}), notification batching (`batch_size` ∈ {1, 8,
-//! 64}) and transport (`Direct`/`Messages`) as under the seed
-//! configuration (tree engine, Direct, 1 shard, batch 1).
+//! combination of transport (`Direct`/`Messages`) and notification
+//! batching (`batch_size` ∈ {1, 8, 64}) as under the default
+//! configuration (Direct, batch 1).
 //!
-//! Sharding partitions each store's address space, batching only
-//! *delays* per-(origin, target) notification delivery until a
-//! synchronization point, and the engines are alternative data layouts
-//! for the same insertion algorithm — none may change what the detector
-//! reports. The baseline sweep is computed once ([`OnceLock`]) and
-//! shared by the grid-point tests, which the harness runs in parallel.
+//! Batching only *delays* per-(origin, target) notification delivery
+//! until a synchronization point, and the transport only changes which
+//! thread performs the insertion — neither may change what the detector
+//! reports. Every grid point runs the production store
+//! ([`AnalyzerCfg::build_store`]'s adaptive engine); the tree reference
+//! is anchored separately by `replay_fidelity`, which checks adaptive
+//! live verdicts against tree replay on all 240 cases. The baseline
+//! sweep is computed once ([`OnceLock`]) and shared by the grid-point
+//! tests, which the harness runs in parallel.
 
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, Engine, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_sim::Monitor;
 use rma_suite::{generate_suite, run_case_with_monitor, CaseSpec, Confusion};
 use std::sync::{Arc, OnceLock};
@@ -39,23 +41,15 @@ fn flagged(spec: &CaseSpec, cfg: AnalyzerCfg) -> bool {
     !mon.races().is_empty()
 }
 
-fn grid_cfg(engine: Engine, delivery: Delivery, shards: usize, batch_size: usize) -> AnalyzerCfg {
-    AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
-        on_race: OnRace::Collect,
-        delivery,
-        node_budget: None,
-        max_respawns: 3,
-        shards,
-        batch_size,
-        engine,
-    }
+fn grid_cfg(delivery: Delivery, batch_size: usize) -> AnalyzerCfg {
+    AnalyzerCfg { on_race: OnRace::Collect, delivery, batch_size, ..AnalyzerCfg::default() }
 }
 
-/// The seed configuration's verdicts, computed once for all grid tests.
+/// The default configuration's verdicts, computed once for all grid
+/// tests.
 fn baseline() -> &'static [(String, bool)] {
     static BASELINE: OnceLock<Vec<(String, bool)>> = OnceLock::new();
-    BASELINE.get_or_init(|| sweep(grid_cfg(Engine::Tree, Delivery::Direct, 1, 1)))
+    BASELINE.get_or_init(|| sweep(grid_cfg(Delivery::Direct, 1)))
 }
 
 /// Confusion matrix from a verdict sweep (needs the case list for the
@@ -76,14 +70,13 @@ fn confusion(verdicts: &[(String, bool)]) -> Confusion {
     c
 }
 
-fn assert_grid_point(engine: Engine, delivery: Delivery, shards: usize, batch_size: usize) {
+fn assert_grid_point(delivery: Delivery, batch_size: usize) {
     let base = baseline();
-    let got = sweep(grid_cfg(engine, delivery, shards, batch_size));
+    let got = sweep(grid_cfg(delivery, batch_size));
     for ((name, want), (_, have)) in base.iter().zip(&got) {
         assert_eq!(
             want, have,
-            "{name}: verdict diverges under \
-             {engine:?}/{delivery:?}/shards={shards}/batch={batch_size} \
+            "{name}: verdict diverges under {delivery:?}/batch={batch_size} \
              (baseline {want}, grid point {have})"
         );
     }
@@ -98,98 +91,26 @@ fn baseline_covers_all_cases() {
 }
 
 #[test]
-fn direct_shards1_batch8() {
-    assert_grid_point(Engine::Tree, Delivery::Direct, 1, 8);
+fn direct_batch8() {
+    assert_grid_point(Delivery::Direct, 8);
 }
 
 #[test]
-fn direct_shards1_batch64() {
-    assert_grid_point(Engine::Tree, Delivery::Direct, 1, 64);
+fn direct_batch64() {
+    assert_grid_point(Delivery::Direct, 64);
 }
 
 #[test]
-fn direct_shards4_batch1() {
-    assert_grid_point(Engine::Tree, Delivery::Direct, 4, 1);
+fn messages_batch1() {
+    assert_grid_point(Delivery::Messages, 1);
 }
 
 #[test]
-fn direct_shards4_batch8() {
-    assert_grid_point(Engine::Tree, Delivery::Direct, 4, 8);
+fn messages_batch8() {
+    assert_grid_point(Delivery::Messages, 8);
 }
 
 #[test]
-fn direct_shards4_batch64() {
-    assert_grid_point(Engine::Tree, Delivery::Direct, 4, 64);
-}
-
-#[test]
-fn messages_shards1_batch1() {
-    assert_grid_point(Engine::Tree, Delivery::Messages, 1, 1);
-}
-
-#[test]
-fn messages_shards1_batch8() {
-    assert_grid_point(Engine::Tree, Delivery::Messages, 1, 8);
-}
-
-#[test]
-fn messages_shards1_batch64() {
-    assert_grid_point(Engine::Tree, Delivery::Messages, 1, 64);
-}
-
-#[test]
-fn messages_shards4_batch1() {
-    assert_grid_point(Engine::Tree, Delivery::Messages, 4, 1);
-}
-
-#[test]
-fn messages_shards4_batch8() {
-    assert_grid_point(Engine::Tree, Delivery::Messages, 4, 8);
-}
-
-#[test]
-fn messages_shards4_batch64() {
-    assert_grid_point(Engine::Tree, Delivery::Messages, 4, 64);
-}
-
-// ---- The flat and adaptive engines run the same campaign. ----
-
-#[test]
-fn flat_direct_shards1_batch1() {
-    assert_grid_point(Engine::Flat, Delivery::Direct, 1, 1);
-}
-
-#[test]
-fn flat_direct_shards4_batch1() {
-    assert_grid_point(Engine::Flat, Delivery::Direct, 4, 1);
-}
-
-#[test]
-fn flat_messages_shards1_batch8() {
-    assert_grid_point(Engine::Flat, Delivery::Messages, 1, 8);
-}
-
-#[test]
-fn flat_messages_shards4_batch64() {
-    assert_grid_point(Engine::Flat, Delivery::Messages, 4, 64);
-}
-
-#[test]
-fn adaptive_direct_shards1_batch1() {
-    assert_grid_point(Engine::Adaptive, Delivery::Direct, 1, 1);
-}
-
-#[test]
-fn adaptive_direct_shards4_batch1() {
-    assert_grid_point(Engine::Adaptive, Delivery::Direct, 4, 1);
-}
-
-#[test]
-fn adaptive_messages_shards1_batch8() {
-    assert_grid_point(Engine::Adaptive, Delivery::Messages, 1, 8);
-}
-
-#[test]
-fn adaptive_messages_shards4_batch64() {
-    assert_grid_point(Engine::Adaptive, Delivery::Messages, 4, 64);
+fn messages_batch64() {
+    assert_grid_point(Delivery::Messages, 64);
 }

@@ -4,7 +4,7 @@
 //! it does fault-free — and exhausting the respawn budget must end in a
 //! structured abort, never a hang.
 
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_must::{Completeness, MustCfg, MustRma, OnRace as MustOnRace};
 use rma_sim::{FaultKind, FaultPlan, Monitor, WorldCfg};
 use rma_suite::case::SUITE_RANKS;
@@ -82,14 +82,9 @@ fn analyzer_messages_keeps_verdicts_under_receiver_kills() {
     for spec in cases.iter().step_by(7) {
         let mk = || {
             Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-                algorithm: Algorithm::FragMerge,
                 on_race: OnRace::Collect,
                 delivery: Delivery::Messages,
-                node_budget: None,
-                max_respawns: 3,
-                shards: 1,
-                batch_size: 1,
-                engine: Default::default(),
+                ..AnalyzerCfg::default()
             }))
         };
         let baseline = mk();
@@ -148,14 +143,10 @@ fn analyzer_beyond_budget_aborts_structurally() {
     let cases = generate_suite();
     let spec = &cases[0];
     let probe = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
-        node_budget: None,
         max_respawns: 0,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let cfg = WorldCfg {
         fault: Some(FaultPlan { rank: 1, at_event: 5, kind: FaultKind::KillWorker { times: 1 } }),

@@ -38,7 +38,7 @@
 //! `verdict:` line compares byte-for-byte with `rma-trace replay`.
 
 use rma_apps::{run_bfs, run_cfd, run_minivite, BfsCfg, CfdCfg, Method, MethodRun, MiniViteCfg};
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, Tee};
 use rma_substrate::bench::BenchGroup;
 use rma_suite::{
@@ -126,14 +126,8 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
-        delivery: Delivery::Direct,
-        node_budget: None,
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let (writer, clean) = match (case.as_deref(), app.as_deref()) {
         (Some(name), None) => {

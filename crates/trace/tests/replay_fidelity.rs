@@ -7,7 +7,7 @@
 //! decode) before being replayed, so the binary format is part of the
 //! proven path, not just the in-memory event stream.
 
-use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_must::MustRma;
 use rma_sim::Monitor;
 use rma_suite::{generate_suite, run_case_with_monitor, CaseSpec, SUITE_RANKS};
@@ -29,12 +29,7 @@ fn live_races(spec: &CaseSpec, detector: Detector) -> Vec<rma_core::RaceReport> 
             let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
                 algorithm,
                 on_race: OnRace::Collect,
-                delivery: Delivery::Direct,
-                node_budget: None,
-                max_respawns: 3,
-                shards: 1,
-                batch_size: 1,
-                engine: Default::default(),
+                ..AnalyzerCfg::default()
             }));
             let out = run_case_with_monitor(spec, analyzer.clone() as Arc<dyn Monitor>);
             assert!(out.is_clean(), "{}: live run not clean", spec.name());

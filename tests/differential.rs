@@ -55,14 +55,9 @@ fn run_program(spec: ProgramSpec, ctx: &mut RankCtx<'_>) {
 
 fn verdict(spec: ProgramSpec, delivery: Delivery) -> bool {
     let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
-        algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
         delivery,
-        node_budget: None,
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let out: RunOutcome<()> = World::run(WorldCfg::with_ranks(3), analyzer.clone(), |ctx| {
         run_program(spec, ctx)
@@ -130,12 +125,7 @@ fn verdict_algo(spec: ProgramSpec, algorithm: Algorithm) -> bool {
     let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
         algorithm,
         on_race: OnRace::Collect,
-        delivery: Delivery::Direct,
-        node_budget: None,
-        max_respawns: 3,
-        shards: 1,
-        batch_size: 1,
-        engine: Default::default(),
+        ..AnalyzerCfg::default()
     }));
     let out: RunOutcome<()> = World::run(WorldCfg::with_ranks(3), analyzer.clone(), |ctx| {
         run_program(spec, ctx)
