@@ -159,12 +159,14 @@ for CUT in 40 50; do
     echo "    cut $CUT: $SALVAGE_LINE"
 done
 
-echo "==> differential campaign: sharded stores and the delivery x batch grid"
-# Sharded-vs-plain store equivalence (randomized, seeds checked in) and
-# the 240-case verdict sweep over delivery (Direct/Messages) x batch
-# (1/8/64): any verdict difference from the default configuration fails
-# here.
-timeout 300 cargo test -q --offline -p rma-core --test sharded_prop
+echo "==> differential campaign: store engines and the delivery x batch grid"
+# Engine-vs-tree store equivalence (flat, blocked and the promoting
+# adaptive store against FragMergeStore: exact verdicts, snapshots and
+# statistics, with and without merging and budgets; randomized, seeds
+# checked in) and the 240-case verdict sweep over delivery
+# (Direct/Messages) x batch (1/8/64): any verdict difference from the
+# default configuration fails here.
+timeout 300 cargo test -q --offline -p rma-core --test engine_prop
 timeout 600 cargo test -q --offline -p rma-suite --test grid_equivalence
 
 echo "==> bench_hotpath smoke: runs, self-validates, baseline stays well-formed"

@@ -1,12 +1,14 @@
 //! Hot-path detection benchmark with a reproducible baseline:
 //! replays the checked-in trace corpus plus synthetic high-churn
-//! workloads through six store configurations — naive full-history,
+//! workloads through five store configurations — naive full-history,
 //! legacy RMA-Analyzer, fragmentation+merging over the AVL tree (the
-//! paper-faithful reference), the flat sorted-vec engine (plain and
-//! sharded), and the adaptive engine (flat until promotion, the
+//! paper-faithful reference), the flat sorted-vec engine, and the
+//! adaptive engine (flat until promotion, then blocked leaves: the
 //! production store) — and emits
 //! `BENCH_hotpath.json` holding, per (workload, config): median
-//! events/second, peak node count, and fast-path hit rate.
+//! events/second, peak node count, and fast-path hit rate. The
+//! 64-region churn (`synthetic/churn64`) runs only the tree, flat and
+//! adaptive configurations.
 //!
 //! Besides the offline replays, the `live/churn` row drives the full
 //! `Messages`-mode analyzer pipeline (origin-side records, notification
@@ -40,8 +42,8 @@
 //!   a slack factor for freshly-measured smoke runs on noisy machines.
 
 use rma_core::{
-    AccessStore, AdaptiveCfg, AdaptiveStore, FlatStore, FragMergeStore, Interval, LegacyStore,
-    NaiveStore, ShardedStore, SrcLoc,
+    AccessStore, AdaptiveStore, FlatStore, FragMergeStore, Interval, LegacyStore, NaiveStore,
+    SrcLoc,
 };
 use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, RankId, World, WorldCfg};
@@ -51,9 +53,8 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Shard count of the fixed-sharding configuration, and the region count
-/// of the churn workloads.
-const SHARDS: usize = 4;
+/// Region count of `synthetic/churn` and of the live churn run.
+const REGIONS: u64 = 4;
 
 /// Notification batch size of the live pipeline run.
 const LIVE_BATCH: usize = 64;
@@ -65,19 +66,23 @@ enum Config {
     Legacy,
     FragMerge,
     Flat,
-    ShardedFlat,
     AdaptiveFlat,
 }
 
 impl Config {
-    const ALL: [Config; 6] = [
-        Config::Naive,
-        Config::Legacy,
-        Config::FragMerge,
-        Config::Flat,
-        Config::ShardedFlat,
-        Config::AdaptiveFlat,
-    ];
+    const ALL: [Config; 5] =
+        [Config::Naive, Config::Legacy, Config::FragMerge, Config::Flat, Config::AdaptiveFlat];
+
+    /// The configurations a workload runs: all but the naive and legacy
+    /// stores on the 64-region churn, whose quadratic scans would take
+    /// minutes and measure nothing the other rows don't.
+    fn for_workload(workload: &str) -> &'static [Config] {
+        if workload == "synthetic/churn64" {
+            &Config::ALL[2..]
+        } else {
+            &Config::ALL
+        }
+    }
 
     fn name(self) -> &'static str {
         match self {
@@ -85,55 +90,32 @@ impl Config {
             Config::Legacy => "legacy",
             Config::FragMerge => "fragmerge",
             Config::Flat => "flat",
-            Config::ShardedFlat => "sharded-flat",
             Config::AdaptiveFlat => "adaptive-flat",
         }
     }
 
-    fn store(self, domain: Option<Interval>) -> Box<dyn AccessStore + Send> {
+    fn store(self) -> Box<dyn AccessStore + Send> {
         match self {
             Config::Naive => Box::new(NaiveStore::new()),
             Config::Legacy => Box::new(LegacyStore::new()),
             Config::FragMerge => Box::new(FragMergeStore::new()),
             Config::Flat => Box::new(FlatStore::new()),
-            Config::ShardedFlat => match domain {
-                Some(d) => Box::new(ShardedStore::with_domain(SHARDS, d, FlatStore::new)),
-                None => Box::new(ShardedStore::new(SHARDS, FlatStore::new)),
-            },
-            Config::AdaptiveFlat => Box::new(AdaptiveStore::with_cfg(AdaptiveCfg::default())),
+            Config::AdaptiveFlat => Box::new(AdaptiveStore::new()),
         }
     }
 }
 
-/// The window domain a live analyzer would shard over: the hull of the
-/// trace's `WinAllocate` contributions.
-fn trace_domain(trace: &Trace) -> Option<Interval> {
-    let mut dom: Option<Interval> = None;
-    for stream in &trace.streams {
-        for ev in stream {
-            if let TraceEvent::WinAllocate { base, len, .. } = *ev {
-                let hi = len.checked_sub(1).and_then(|d| base.checked_add(d))?;
-                let w = Interval::new(base, hi);
-                dom = Some(match dom {
-                    Some(d) => d.hull(&w),
-                    None => w,
-                });
-            }
-        }
-    }
-    dom
-}
-
-fn replay_with(trace: &Trace, cfg: Config, domain: Option<Interval>) -> ReplayOutcome {
-    replay_trace(trace, Box::new(StoreTarget::new(move || cfg.store(domain))))
+fn replay_with(trace: &Trace, cfg: Config) -> ReplayOutcome {
+    replay_trace(trace, Box::new(StoreTarget::new(move || cfg.store())))
 }
 
 /// Synthetic high-churn workload: `regions` interleaved ascending scans
 /// (region stride 1 MiB), width-2 intervals separated by a 1-byte gap —
-/// never adjacent, so nothing merges and every in-order access lands
-/// strictly above its shard's bounding hull (the cheap-reject fast
-/// path). A single rank inside one `lock_all` epoch; per-region source
-/// lines keep provenance distinct.
+/// never adjacent, so nothing merges and every access but the top
+/// region's lands inside the store's hull, between two stored nodes: a
+/// sorted vec shifts everything above it, a tree walks to it. A single
+/// rank inside one `lock_all` epoch; per-region source lines keep
+/// provenance distinct.
 fn synthetic_churn(regions: u64, per_region: u64) -> Trace {
     let mut ev = Vec::new();
     let win = rma_sim::WinId(0);
@@ -187,7 +169,7 @@ fn synthetic_hotspot(accesses: u64) -> Trace {
 }
 
 /// One live `Messages`-pipeline run of the churn pattern: rank 0 issues
-/// `ops` width-2 puts, ascending within `SHARDS` interleaved 1 MiB
+/// `ops` width-2 puts, ascending within `REGIONS` interleaved 1 MiB
 /// regions of rank 1's window. Origin-side records, notification
 /// batching, the receiver thread and the epoch drain are all on the
 /// measured path. Returns the analyzer for stats inspection.
@@ -200,13 +182,13 @@ fn live_churn_run(ops: u64) -> Arc<RmaAnalyzer> {
     };
     let mon = Arc::new(RmaAnalyzer::new(cfg));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone() as Arc<dyn Monitor>, move |ctx| {
-        let win = ctx.win_allocate((SHARDS as u64) << 20);
+        let win = ctx.win_allocate(REGIONS << 20);
         let buf = ctx.alloc(8);
         ctx.win_lock_all(win);
         if ctx.rank() == RankId(0) {
             for i in 0..ops {
-                let r = i % SHARDS as u64;
-                let off = (r << 20) + (i / SHARDS as u64) * 3;
+                let r = i % REGIONS;
+                let off = (r << 20) + (i / REGIONS) * 3;
                 ctx.put(&buf, 0, 2, RankId(1), off, win);
             }
         }
@@ -256,7 +238,6 @@ fn checked_in_corpus() -> Vec<(String, Trace)> {
 /// `Config::ALL` order.
 fn bench_interleaved(
     trace: &Trace,
-    domain: Option<Interval>,
     samples: usize,
     mut report: impl FnMut(Config, (f64, f64)),
 ) -> Vec<(f64, f64)> {
@@ -271,7 +252,7 @@ fn bench_interleaved(
             loop {
                 let t0 = Instant::now();
                 for _ in 0..iters {
-                    black_box(replay_with(trace, cfg, domain).events);
+                    black_box(replay_with(trace, cfg).events);
                 }
                 let elapsed = t0.elapsed();
                 if elapsed >= TARGET_SAMPLE || iters >= 1 << 24 {
@@ -292,7 +273,7 @@ fn bench_interleaved(
             let n = iters[c];
             let t0 = Instant::now();
             for _ in 0..n {
-                black_box(replay_with(trace, cfg, domain).events);
+                black_box(replay_with(trace, cfg).events);
             }
             samples_ns[c].push(t0.elapsed().as_nanos() as f64 / n as f64);
         }
@@ -337,7 +318,6 @@ fn report_json(smoke: bool, rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -365,12 +345,7 @@ fn report_json(smoke: bool, rows: &[Row]) -> String {
 /// report's shape is fixed, so targeted scans are exact enough to catch
 /// a truncated, NaN-poisoned, or hand-mangled file.
 fn check_report(text: &str) -> Result<(), String> {
-    for key in [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"shards\"",
-        "\"rows\"",
-    ] {
+    for key in ["\"bench\"", "\"smoke\"", "\"rows\""] {
         if !text.contains(key) {
             return Err(format!("missing key {key}"));
         }
@@ -564,14 +539,14 @@ fn main() -> ExitCode {
     }
 
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_hotpath.json".to_string());
-    // One churn region per shard: every in-order access lands strictly
-    // above its shard's hull, so the sharded configuration's fast-path
-    // hit rate is ~1 and the plain store pays the full walk per access.
-    let (regions, per_region, hotspot_n) =
-        if smoke { (SHARDS as u64, 128, 512) } else { (SHARDS as u64, 16384, 8192) };
+    // Both churns record 64k accesses at full size; the smoke churn64
+    // is still large enough to promote the adaptive store.
+    let (per_region, per_region64, hotspot_n) =
+        if smoke { (128, 64, 512) } else { (16384, 1024, 8192) };
 
     let mut workloads: Vec<(String, Trace)> = vec![
-        ("synthetic/churn".to_string(), synthetic_churn(regions, per_region)),
+        ("synthetic/churn".to_string(), synthetic_churn(REGIONS, per_region)),
+        ("synthetic/churn64".to_string(), synthetic_churn(64, per_region64)),
         ("synthetic/hotspot".to_string(), synthetic_hotspot(hotspot_n)),
     ];
     workloads.extend(checked_in_corpus());
@@ -580,13 +555,13 @@ fn main() -> ExitCode {
     let mut rows: Vec<Row> = Vec::new();
     for (name, trace) in &workloads {
         let events = trace.event_count();
-        let domain = trace_domain(trace);
+        let configs = Config::for_workload(name);
         // Deterministic pass per config first: stats and verdict are a
         // pure function of (trace, config), measured outside the timer.
-        let outcomes: Vec<_> = Config::ALL
+        let outcomes: Vec<_> = configs
             .iter()
             .map(|&cfg| {
-                let out = replay_with(trace, cfg, domain);
+                let out = replay_with(trace, cfg);
                 assert!(out.complete, "{name}: replay incomplete under {}", cfg.name());
                 out
             })
@@ -600,23 +575,22 @@ fn main() -> ExitCode {
         // synthetic workloads.
         let timings: Vec<(f64, f64)> = if name.starts_with("corpus/") {
             let samples = if smoke { 3 } else { 61 };
-            bench_interleaved(trace, domain, samples, |cfg, t| {
+            bench_interleaved(trace, samples, |cfg, t| {
                 eprintln!("bench_hotpath/{name}/{}: {:.1} ns (interleaved)", cfg.name(), t.1);
             })
         } else {
             group.sample_size(if smoke { 3 } else { 7 });
-            Config::ALL
+            configs
                 .iter()
                 .map(|&cfg| {
                     let id = format!("{name}/{}", cfg.name());
-                    group.bench(&id, || black_box(replay_with(trace, cfg, domain).events));
+                    group.bench(&id, || black_box(replay_with(trace, cfg).events));
                     let res = group.results().last().expect("just benched");
                     (res.median_ns, best_sample(res))
                 })
                 .collect()
         };
-        for ((&cfg, out), (median_ns, best_ns)) in
-            Config::ALL.iter().zip(&outcomes).zip(timings)
+        for ((&cfg, out), (median_ns, best_ns)) in configs.iter().zip(&outcomes).zip(timings)
         {
             let fast_hit_rate = if out.stats.recorded == 0 {
                 0.0
@@ -671,9 +645,11 @@ fn main() -> ExitCode {
             .map(|r| r.events_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let replay_speedup =
-        eps("synthetic/churn", "adaptive-flat") / eps("synthetic/churn", "fragmerge");
-    println!("\nadaptive-flat vs fragmerge, offline replay of synthetic/churn: {replay_speedup:.2}x");
+    println!();
+    for w in ["synthetic/churn", "synthetic/churn64"] {
+        let speedup = eps(w, "adaptive-flat") / eps(w, "fragmerge");
+        println!("adaptive-flat vs fragmerge, offline replay of {w}: {speedup:.2}x");
+    }
     println!(
         "adaptive-flat (batch={LIVE_BATCH}), live pipeline: {:.0} events/sec",
         eps("live/churn", "adaptive-flat")

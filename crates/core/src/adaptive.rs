@@ -1,31 +1,32 @@
-//! The adaptive store: flat-unsharded until the trace proves it needs
-//! more, then range-sharded flat.
+//! The adaptive store: flat until the trace proves it needs more, then
+//! blocked.
 //!
-//! The hot-path benchmark (`BENCH_hotpath.json`) showed the two fixed
-//! layouts each lose somewhere: the sharded store pays per-event routing
-//! on 20-event corpus traces, the unsharded flat store pays quadratic
-//! `memmove` tails on 100k-event interleaved churn. [`AdaptiveStore`]
-//! starts as a bare [`FlatStore`] — zero routing, zero per-shard
-//! bookkeeping, the layout small traces want — and **promotes** to a
-//! [`ShardedStore`]`<`[`FlatStore`]`>` only when the store either grows
-//! past [`AdaptiveCfg::promote_len`] nodes or the flat engine's
-//! displacement probe ([`FlatStore::shifted`]) crosses
+//! The flat store keeps up with the tree on the 20-event corpus traces
+//! of the hot-path benchmark (`bench_hotpath`) but pays quadratic
+//! `memmove` tails on interleaved churn, which the blocked store caps at
+//! one leaf. [`AdaptiveStore`] starts as a bare [`FlatStore`] — one vec,
+//! the measured layout for small traces — and **promotes** to a
+//! [`BlockedStore`] only when the store either grows past
+//! [`AdaptiveCfg::promote_len`] nodes or the flat engine's displacement
+//! probe ([`FlatStore::shifted`]) crosses
 //! [`AdaptiveCfg::promote_shifted`] — i.e. when mid-vec insertion has
 //! demonstrably started moving memory around. Small traces never pay for
 //! scale; churny traces stop paying for flatness after a bounded prefix.
 //!
 //! Promotion is **exact**: the flat contents are snapshotted and
-//! [`ShardedStore::restore`]d into the sharded engine (no re-record, no
-//! statistics drift, no re-checking), and the retired engine's counters
-//! are carried so [`AccessStore::stats`] reads continuously across the
-//! switch. Promotion is sticky — a store that needed shards once keeps
-//! them across `clear`s (epoch boundaries don't un-churn a workload).
+//! [`BlockedStore`]'s `restore` loads them (no re-record, no statistics
+//! drift, no re-checking), and the retired engine's counters are carried
+//! so [`AccessStore::stats`] reads continuously across the switch. Both
+//! engines share the tree's fragment / merge / coalesce passes, so the
+//! contents and statistics equal [`crate::FragMergeStore`]'s before and
+//! after promotion. Promotion is sticky — a store that promoted once
+//! stays blocked across `clear`s (epoch boundaries don't un-churn a
+//! workload).
 
 use crate::access::MemAccess;
+use crate::blocked::BlockedStore;
 use crate::flat::FlatStore;
-use crate::interval::{Addr, Interval};
 use crate::report::RaceReport;
-use crate::sharded::ShardedStore;
 use crate::store::{AccessStore, StoreStats};
 
 /// Tuning knobs for [`AdaptiveStore`].
@@ -34,15 +35,9 @@ pub struct AdaptiveCfg {
     /// Run the merging pass (Algorithm 1 step 4)? `false` is the
     /// fragmentation-only ablation.
     pub merging: bool,
-    /// Node budget per engine (per *shard* once promoted, matching the
-    /// sharded store's budget semantics); `None` is exact.
+    /// Node budget for the whole store, in both phases (same semantics
+    /// as [`crate::FragMergeStore::with_budget`]); `None` is exact.
     pub budget: Option<usize>,
-    /// Shard count after promotion. The shard boundaries are cut from
-    /// the bounding hull of the contents at promotion time — by then the
-    /// store holds thousands of nodes, so the hull is a better balance
-    /// estimate than any up-front domain hint (and out-of-hull addresses
-    /// clamp to the edge shards regardless).
-    pub shards: usize,
     /// Promote once the flat store holds this many nodes.
     pub promote_len: usize,
     /// Promote once the flat store has displaced this many elements in
@@ -54,42 +49,33 @@ pub struct AdaptiveCfg {
 impl Default for AdaptiveCfg {
     #[inline]
     fn default() -> Self {
-        AdaptiveCfg {
-            merging: true,
-            budget: None,
-            shards: 8,
-            promote_len: 4096,
-            promote_shifted: 1 << 18,
-        }
+        AdaptiveCfg { merging: true, budget: None, promote_len: 4096, promote_shifted: 1 << 18 }
     }
 }
 
-/// The sharded variant is boxed so the enum (and every unpromoted
+/// The blocked variant is boxed so the enum (and every unpromoted
 /// store's allocation) stays [`FlatStore`]-sized — a per-(rank, window)
 /// store is constructed per replay, so tiny traces must not pay for the
-/// sharded engine's footprint (or an extra `StoreStats`) up front.
+/// blocked engine's footprint (or an extra `StoreStats`) up front.
 enum Inner {
     Flat(FlatStore),
-    Sharded(Box<Promoted>),
+    Blocked(Box<Promoted>),
 }
 
 /// Everything only a promoted store needs, behind one allocation.
 struct Promoted {
-    store: ShardedStore<FlatStore>,
+    store: BlockedStore,
     /// Statistics of the retired flat engine (with `len` zeroed), folded
     /// into [`AccessStore::stats`] so counters read continuously across
     /// promotion.
     carried: StoreStats,
-    /// Engine knobs of the retired flat store, kept for [`AdaptiveStore::cfg`].
-    merging: bool,
-    budget: Option<usize>,
 }
 
 /// Adaptive access store: [`FlatStore`] until promotion, then
-/// [`ShardedStore`]`<`[`FlatStore`]`>` (see module docs).
+/// [`BlockedStore`] (see module docs).
 ///
 /// The configuration is stored compactly — merging and budget already
-/// live inside the flat engine. Keeping the struct small matters: a
+/// live inside the engines. Keeping the struct small matters: a
 /// per-(rank, window) store is constructed per replay, and the
 /// allocation + move cost scales with the struct, so the unpromoted
 /// store must stay as close to a bare [`FlatStore`] as possible.
@@ -97,17 +83,6 @@ pub struct AdaptiveStore {
     inner: Inner,
     promote_shifted: u64,
     promote_len: u32,
-    shards: u32,
-}
-
-#[inline]
-fn make_flat(merging: bool, budget: Option<usize>) -> FlatStore {
-    match (merging, budget) {
-        (true, None) => FlatStore::new(),
-        (false, None) => FlatStore::without_merging(),
-        (true, Some(cap)) => FlatStore::with_budget(cap),
-        (false, Some(cap)) => FlatStore::without_merging_budgeted(cap),
-    }
 }
 
 impl Default for AdaptiveStore {
@@ -126,17 +101,22 @@ impl AdaptiveStore {
     /// An adaptive store with explicit knobs.
     #[inline]
     pub fn with_cfg(cfg: AdaptiveCfg) -> Self {
+        let flat = match (cfg.merging, cfg.budget) {
+            (true, None) => FlatStore::new(),
+            (false, None) => FlatStore::without_merging(),
+            (true, Some(cap)) => FlatStore::with_budget(cap),
+            (false, Some(cap)) => FlatStore::without_merging_budgeted(cap),
+        };
         AdaptiveStore {
-            inner: Inner::Flat(make_flat(cfg.merging, cfg.budget)),
+            inner: Inner::Flat(flat),
             promote_shifted: cfg.promote_shifted,
             promote_len: u32::try_from(cfg.promote_len).unwrap_or(u32::MAX),
-            shards: u32::try_from(cfg.shards.max(1)).unwrap_or(u32::MAX),
         }
     }
 
-    /// Has the store promoted to the sharded engine?
+    /// Has the store promoted to the blocked engine?
     pub fn is_promoted(&self) -> bool {
-        matches!(self.inner, Inner::Sharded(_))
+        matches!(self.inner, Inner::Blocked(_))
     }
 
     /// The configuration in effect (reassembled from its packed form;
@@ -144,19 +124,18 @@ impl AdaptiveStore {
     pub fn cfg(&self) -> AdaptiveCfg {
         let (merging, budget) = match &self.inner {
             Inner::Flat(s) => (s.merging_enabled(), s.budget()),
-            Inner::Sharded(p) => (p.merging, p.budget),
+            Inner::Blocked(p) => (p.store.merging_enabled(), p.store.budget()),
         };
         AdaptiveCfg {
             merging,
             budget,
-            shards: self.shards as usize,
             promote_len: self.promote_len as usize,
             promote_shifted: self.promote_shifted,
         }
     }
 
     /// Promotes if the flat engine crossed a threshold; no-op once
-    /// sharded.
+    /// blocked.
     fn maybe_promote(&mut self) {
         let Inner::Flat(flat) = &mut self.inner else { return };
         if flat.len() < self.promote_len as usize && flat.shifted() < self.promote_shifted {
@@ -172,7 +151,7 @@ impl AdaptiveStore {
     fn promote_and_record(&mut self, acc: MemAccess) -> Result<(), Box<RaceReport>> {
         self.promote();
         match &mut self.inner {
-            Inner::Sharded(p) => p.store.record(acc),
+            Inner::Blocked(p) => p.store.record(acc),
             Inner::Flat(s) => s.record(acc),
         }
     }
@@ -182,19 +161,11 @@ impl AdaptiveStore {
     fn promote(&mut self) {
         let Inner::Flat(flat) = &mut self.inner else { return };
         let flat = std::mem::take(flat);
-        let snap = flat.snapshot();
         let mut carried = flat.stats();
         carried.len = 0; // live nodes are counted by the new engine
-
-        let domain = match (snap.first(), snap.last()) {
-            (Some(f), Some(l)) => Interval::new(f.interval.lo, l.interval.hi),
-            _ => Interval::new(0, Addr::MAX),
-        };
-        let (merging, budget) = (flat.merging_enabled(), flat.budget());
-        let mut store =
-            ShardedStore::with_domain(self.shards as usize, domain, || make_flat(merging, budget));
-        store.restore(&snap);
-        self.inner = Inner::Sharded(Box::new(Promoted { store, carried, merging, budget }));
+        let mut store = BlockedStore::with_cfg(flat.merging_enabled(), flat.budget());
+        store.restore(&flat.snapshot());
+        self.inner = Inner::Blocked(Box::new(Promoted { store, carried }));
     }
 }
 
@@ -209,7 +180,7 @@ impl AccessStore for AdaptiveStore {
         // not correctness boundaries, so the off-by-one changes
         // nothing observable.
         match &mut self.inner {
-            Inner::Sharded(p) => p.store.record(acc),
+            Inner::Blocked(p) => p.store.record(acc),
             Inner::Flat(s) => {
                 if s.len() < self.promote_len as usize && s.shifted() < self.promote_shifted {
                     return s.record(acc);
@@ -222,14 +193,14 @@ impl AccessStore for AdaptiveStore {
     fn len(&self) -> usize {
         match &self.inner {
             Inner::Flat(s) => s.len(),
-            Inner::Sharded(p) => p.store.len(),
+            Inner::Blocked(p) => p.store.len(),
         }
     }
 
     fn stats(&self) -> StoreStats {
         match &self.inner {
             Inner::Flat(s) => s.stats(),
-            Inner::Sharded(p) => {
+            Inner::Blocked(p) => {
                 let mut st = p.carried;
                 st.absorb(&p.store.stats());
                 st
@@ -240,24 +211,24 @@ impl AccessStore for AdaptiveStore {
     fn clear(&mut self) {
         match &mut self.inner {
             Inner::Flat(s) => s.clear(),
-            Inner::Sharded(p) => p.store.clear(),
+            Inner::Blocked(p) => p.store.clear(),
         }
     }
 
     fn snapshot(&self) -> Vec<MemAccess> {
         match &self.inner {
             Inner::Flat(s) => s.snapshot(),
-            Inner::Sharded(p) => p.store.snapshot(),
+            Inner::Blocked(p) => p.store.snapshot(),
         }
     }
 
     fn restore(&mut self, snap: &[MemAccess]) {
         match &mut self.inner {
             Inner::Flat(s) => s.restore(snap),
-            Inner::Sharded(p) => p.store.restore(snap),
+            Inner::Blocked(p) => p.store.restore(snap),
         }
-        // A checkpoint big enough to warrant shards promotes right away
-        // instead of thrashing flat first.
+        // A checkpoint big enough to warrant promotion promotes right
+        // away instead of thrashing flat first.
         self.maybe_promote();
     }
 }
@@ -266,7 +237,7 @@ impl AccessStore for AdaptiveStore {
 mod tests {
     use super::*;
     use crate::fragmerge::FragMergeStore;
-    use crate::{AccessKind, RankId, SrcLoc};
+    use crate::{AccessKind, Interval, RankId, SrcLoc};
     use AccessKind::*;
 
     fn acc_by(lo: u64, hi: u64, kind: AccessKind, rank: u32, line: u32) -> MemAccess {
@@ -290,7 +261,6 @@ mod tests {
             s.record(acc_by(i * 100, i * 100 + 3, RmaRead, 1, i as u32)).unwrap();
         }
         assert!(!s.is_promoted());
-        assert_eq!(s.stats().shards, 0, "unsharded stats shape");
     }
 
     /// Growth past `promote_len` promotes; verdicts and contents carry
@@ -306,11 +276,11 @@ mod tests {
         assert!(s.is_promoted());
         let st = s.stats();
         assert_eq!(st.recorded, 200, "recorded must not drift across promotion");
-        assert_eq!(st.shards, small_cfg().shards);
-        // Contents are equal modulo boundary splits: same bytes covered,
-        // and a conflict anywhere is still caught.
-        assert!(s.record(acc_by(500, 505, LocalWrite, 0, 999)).is_err());
-        assert!(oracle.record(acc_by(500, 505, LocalWrite, 0, 999)).is_err());
+        assert_eq!(s.snapshot(), oracle.snapshot(), "promoted contents are the tree's");
+        assert_eq!(st, oracle.stats(), "promoted statistics are the tree's");
+        let race = acc_by(500, 505, LocalWrite, 0, 999);
+        assert_eq!(s.record(race), oracle.record(race));
+        assert!(oracle.stats().races == 1 && s.stats() == oracle.stats());
     }
 
     /// Interleaved mid-vec churn trips the displacement probe before the
@@ -340,7 +310,7 @@ mod tests {
         }
         assert!(s.is_promoted());
         s.clear();
-        assert!(s.is_promoted(), "a workload that needed shards keeps them");
+        assert!(s.is_promoted(), "a workload that promoted stays promoted");
         assert_eq!(s.len(), 0);
         let epochs = s.stats().epochs;
         assert_eq!(epochs, 1, "clear closes exactly one epoch across engines");
@@ -360,17 +330,7 @@ mod tests {
         }
         assert!(s.is_promoted());
         s.restore(&checkpoint);
-        // Contents equal modulo shard splits: compare covered intervals
-        // after fusing adjacent same-provenance pieces.
-        let mut covered: Vec<Interval> = Vec::new();
-        for a in s.snapshot() {
-            match covered.last_mut() {
-                Some(last) if last.hi + 1 == a.interval.lo => last.hi = a.interval.hi,
-                _ => covered.push(a.interval),
-            }
-        }
-        let want: Vec<Interval> = checkpoint.iter().map(|a| a.interval).collect();
-        assert_eq!(covered, want);
+        assert_eq!(s.snapshot(), checkpoint);
         // And the rolled-back suffix is really gone.
         s.record(acc_by(400, 403, LocalWrite, 0, 9)).unwrap();
     }
@@ -387,7 +347,32 @@ mod tests {
         let mut fresh = AdaptiveStore::with_cfg(small_cfg());
         fresh.restore(&checkpoint);
         assert!(fresh.is_promoted());
-        assert!(fresh.stats().peak_shard_len > 0, "restored occupancy is visible");
+        let mut tree = FragMergeStore::new();
+        tree.restore(&checkpoint);
+        assert_eq!(fresh.snapshot(), tree.snapshot(), "restored contents are the tree's");
+        assert_eq!(fresh.stats(), tree.stats(), "restored statistics are the tree's");
+    }
+
+    /// A descending writer above the contents the store promoted with
+    /// (default thresholds; the last loaded leaf ends one short of
+    /// full): the promoted leaves stay dense and the result is the
+    /// tree's.
+    #[test]
+    fn descending_writer_after_promotion() {
+        let mut s = AdaptiveStore::new();
+        let mut tree = FragMergeStore::new();
+        let below = (0..4159u64).map(|i| acc_by(3 * i, 3 * i + 1, LocalRead, 0, 1));
+        let above = (0..5000u64).map(|i| {
+            let lo = (1 << 20) - 3 * i;
+            acc_by(lo, lo + 1, LocalRead, 0, 2)
+        });
+        for a in below.chain(above) {
+            assert_eq!(s.record(a), tree.record(a));
+        }
+        let Inner::Blocked(p) = &s.inner else { panic!("must have promoted") };
+        p.store.assert_invariants(); // no two short leaves side by side
+        assert_eq!(s.snapshot(), tree.snapshot());
+        assert_eq!(s.stats(), tree.stats());
     }
 
     /// The budget knob degrades conservatively in both phases.
@@ -400,5 +385,25 @@ mod tests {
         }
         assert!(s.stats().coalesced > 0);
         assert!(s.record(acc_by(500, 505, LocalWrite, 0, 999)).is_err());
+    }
+
+    /// Once promoted, the budget caps the whole store, and the degraded
+    /// contents are the tree's, byte for byte, so the FP-only argument
+    /// for budget coalescing holds for the promoted store too.
+    #[test]
+    fn budget_caps_the_whole_promoted_store() {
+        let cfg = AdaptiveCfg { budget: Some(5000), ..Default::default() };
+        let mut s = AdaptiveStore::with_cfg(cfg);
+        let mut tree = FragMergeStore::with_budget(5000);
+        for i in 0..40_000u64 {
+            let a = acc_by(i * 10, i * 10 + 3, RmaRead, 1, i as u32);
+            assert_eq!(s.record(a), tree.record(a));
+        }
+        assert!(s.is_promoted());
+        let st = s.stats();
+        assert!(st.peak_len <= 5001, "peak {} exceeds budget + 1", st.peak_len);
+        assert!(st.coalesced > 0);
+        assert_eq!(s.snapshot(), tree.snapshot());
+        assert_eq!(st, tree.stats());
     }
 }

@@ -14,8 +14,9 @@
 //! sorted vec of `Copy` structs is one or two cache lines scanned
 //! branchlessly. The costs move to *mid-vec insertion* on large stores
 //! (the `memmove` tail), which is exactly what [`crate::AdaptiveStore`]
-//! erases by promoting to range-sharded flat stores once the vec grows
-//! or churns; [`FlatStore::shifted`] is the contention probe it watches.
+//! erases by promoting to the bounded leaves of [`crate::BlockedStore`]
+//! once the vec grows or churns; [`FlatStore::shifted`] is the
+//! contention probe it watches.
 //!
 //! The lower-bound search **gallops from the end** before falling back
 //! to a branchless binary search: monotonically growing epochs (the
@@ -27,8 +28,8 @@
 //! construction: steps 3–5 of Algorithm 1 run through the very same
 //! [`crate::fragmerge::fragment_accesses`] / `merge_accesses` code over
 //! the contiguous overlap run, and budget degradation uses the shared
-//! `coalesce_plan`. The differential campaigns in
-//! `tests/sharded_prop.rs` verify contents, verdicts and statistics
+//! `coalesce_plan`. The differential campaign in
+//! `tests/engine_prop.rs` verifies contents, verdicts and statistics
 //! against the AVL engine on randomized sequences.
 
 use crate::access::MemAccess;
@@ -356,22 +357,6 @@ impl AccessStore for FlatStore {
     }
 }
 
-impl crate::sharded::ShardableStore for FlatStore {
-    fn check_access(&self, acc: &MemAccess) -> Option<RaceReport> {
-        self.check(acc)
-    }
-
-    fn record_unchecked(&mut self, acc: MemAccess) {
-        self.stats.recorded += 1;
-        self.apply(acc);
-    }
-
-    fn record_isolated(&mut self, acc: MemAccess) {
-        self.stats.recorded += 1;
-        self.insert_isolated(acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +421,7 @@ mod tests {
 
     /// Differential: randomized sequences give identical contents,
     /// verdicts and statistics to the AVL engine. (The heavyweight
-    /// campaign lives in tests/sharded_prop.rs; this is the in-crate
+    /// campaign lives in tests/engine_prop.rs; this is the in-crate
     /// smoke version.)
     #[test]
     fn matches_fragmerge_on_mixed_sequences() {
@@ -534,15 +519,5 @@ mod tests {
         s.record(acc(Addr::MAX - 4, Addr::MAX, LocalRead, 1)).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.snapshot()[0].interval, Interval::new(Addr::MAX - 9, Addr::MAX));
-    }
-
-    /// ShardedStore<FlatStore> composes through the seam unchanged.
-    #[test]
-    fn composes_under_sharding() {
-        let mut s = crate::ShardedStore::with_domain(4, Interval::new(0, 99), FlatStore::new);
-        s.record(acc(20, 60, LocalRead, 1)).unwrap();
-        assert_eq!(s.len(), 3, "piece per overlapped shard");
-        let err = s.record(acc_by(30, 40, RmaWrite, 1, 9)).unwrap_err();
-        assert_eq!(err.new.interval, Interval::new(30, 40));
     }
 }

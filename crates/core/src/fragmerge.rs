@@ -52,9 +52,7 @@ pub struct FragMergeStore {
     /// [`AccessStore::record`] skips the conflict walk and the widened
     /// overlap query and inserts the node directly
     /// ([`StoreStats::fast_hits`] counts the skips). Epoch boundaries
-    /// reset it to `None` in [`AccessStore::clear`]; the sharded wrapper
-    /// keeps the analogous per-shard hulls fresh with a generation
-    /// counter instead, because it has many to invalidate at once.
+    /// reset it to `None` in [`AccessStore::clear`].
     hull: Option<Interval>,
     /// Scratch buffers reused across insertions to keep the hot path
     /// allocation-free once warmed up.

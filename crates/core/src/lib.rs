@@ -26,13 +26,14 @@
 //! Two cache-friendly *engines* implement the same algorithm as
 //! [`FragMergeStore`] with different data layouts: [`FlatStore`] keeps
 //! the disjoint intervals in one contiguous sorted vec (galloping
-//! lower-bound search, in-place splicing), and [`AdaptiveStore`] starts
-//! flat-unsharded and promotes to a range-sharded flat layout
-//! ([`ShardedStore`]`<`[`FlatStore`]`>`) once the trace grows or churns
-//! past a threshold. [`AdaptiveStore`] is the production engine (the
-//! one the analyzer and the service build); [`FragMergeStore`] stays the
+//! lower-bound search, in-place splicing), and [`BlockedStore`] keeps
+//! them in bounded sorted leaves behind a last-`hi` index, so no insert
+//! moves more than one leaf. [`AdaptiveStore`] starts as a
+//! [`FlatStore`] and promotes to a [`BlockedStore`] once the trace grows
+//! or churns past a threshold; it is the production engine (the one the
+//! analyzer and the service build). [`FragMergeStore`] stays the
 //! paper-faithful reference every engine is differentially verified
-//! against.
+//! against: all three give byte-identical snapshots and statistics.
 //!
 //! The crate is self-contained: it knows nothing about how accesses are
 //! produced. The companion crates `rma-sim` (an MPI-RMA runtime simulator)
@@ -61,6 +62,7 @@
 pub mod access;
 pub mod adaptive;
 pub mod avl;
+pub mod blocked;
 pub mod conflict;
 pub mod flat;
 pub mod fragmerge;
@@ -69,12 +71,12 @@ pub mod interval;
 pub mod legacy;
 pub mod naive;
 pub mod report;
-pub mod sharded;
 pub mod store;
 pub mod stride;
 
 pub use access::{AccessKind, MemAccess, RankId, SrcLoc};
 pub use adaptive::{AdaptiveCfg, AdaptiveStore};
+pub use blocked::BlockedStore;
 pub use conflict::{combine, conflicts, legacy_conflicts, precedence};
 pub use flat::FlatStore;
 pub use fragmerge::FragMergeStore;
@@ -83,6 +85,5 @@ pub use interval::{Addr, Interval};
 pub use legacy::LegacyStore;
 pub use naive::{NaiveStore, ShadowRef};
 pub use report::RaceReport;
-pub use sharded::{ShardableStore, ShardedStore};
 pub use store::{AccessStore, StoreStats};
 pub use stride::{StrideMergeStore, StridedRun};

@@ -172,11 +172,11 @@ impl AnalyzerCfg {
     /// Builds one per-(rank, window) store: the single production store
     /// constructor (live analyzer, served replay, brownout rebuilds).
     /// The fragmentation-based algorithms run on [`AdaptiveStore`] —
-    /// flat until it grows or churns, then range-sharded flat — with
-    /// `node_budget` as its budget; the other algorithms have one store
-    /// each. The domain argument is ignored: the adaptive store cuts its
-    /// shard boundaries from its contents at promotion. It stays only so
-    /// the perfbench harness's `build_store(None)` calls compile.
+    /// flat until it grows or churns, then blocked leaves — with
+    /// `node_budget` as its whole-store budget; the other algorithms
+    /// have one store each. The domain argument is ignored (no engine
+    /// needs an address-range hint); it stays only so the perfbench
+    /// harness's `build_store(None)` calls compile.
     pub fn build_store(&self, _domain: Option<Interval>) -> Box<dyn AccessStore + Send> {
         let merging = match self.algorithm {
             Algorithm::FragMerge => true,
