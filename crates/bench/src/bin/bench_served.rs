@@ -33,6 +33,7 @@ use rma_substrate::fs::Fs;
 use rma_suite::{generate_suite, run_case_with_monitor};
 use rma_trace::{
     replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader, TraceWriter,
+    FORMAT_VERSION,
 };
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -103,7 +104,12 @@ fn record_large(regions: u64, per_region: u64) -> LargeStream {
     ev.push(TraceEvent::UnlockAll { win });
     ev.push(TraceEvent::Finish);
     let trace = Trace {
-        header: TraceHeader { version: 1, nranks: 1, seed: 0x5EED, app: "large".into() },
+        header: TraceHeader {
+            version: FORMAT_VERSION,
+            nranks: 1,
+            seed: 0x5EED,
+            app: "large".into(),
+        },
         streams: vec![ev],
     };
     let outcome = direct_replay(&trace);

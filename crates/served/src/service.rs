@@ -287,9 +287,9 @@ struct Job {
     /// Epoch boundaries decoded so far ([`StreamDecoder::epoch_marks`])
     /// — the monotone signal durability checkpoints key on.
     epochs: AtomicU64,
-    /// Every consumed chunk, retained until the verdict is out — the
-    /// redelivery source for crash recovery.
-    journal: Mutex<Vec<u8>>,
+    /// Every consumed chunk, moved in as received and retained until
+    /// the verdict is out — the redelivery source for crash recovery.
+    journal: Mutex<Vec<Vec<u8>>>,
     /// Chaos kills this stream has yet to suffer.
     kills_left: Mutex<u32>,
     /// Decoded-event threshold for the next kill.
@@ -797,10 +797,10 @@ fn supervise(inner: &Arc<Inner>, job: &Arc<Job>) {
 fn drain_to_eof(inner: &Inner, rx: &Receiver<Vec<u8>>, job: &Job) -> u64 {
     let cancelled = || inner.shutting_down.load(Ordering::SeqCst);
     while let Ok(chunk) = rx.recv_cancel(&cancelled) {
-        job.journal.lock().extend_from_slice(&chunk);
+        job.journal.lock().push(chunk);
         inner.bump_progress();
     }
-    job.journal.lock().len() as u64
+    job.journal.lock().iter().map(|c| c.len() as u64).sum()
 }
 
 /// One full decode-and-analyze pass: journal redelivery, live ingest to
@@ -810,10 +810,11 @@ fn run_attempt(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>) -> Attempt
     let mut wire_error = None;
 
     // Redelivery: feed everything a previous (killed) attempt already
-    // consumed. At-least-once delivery; the fresh decoder gives the
-    // replay an exactly-once analysis effect.
-    let journal = job.journal.lock().clone();
-    for piece in journal.chunks(4096) {
+    // consumed, chunk by chunk as it was received. At-least-once
+    // delivery; the fresh decoder gives the replay an exactly-once
+    // analysis effect. Only this stream's worker touches the journal,
+    // so holding its lock across the feeds contends with no one.
+    for piece in job.journal.lock().iter() {
         if let Err(e) = dec.feed(piece) {
             wire_error = Some(e);
             break;
@@ -841,13 +842,15 @@ fn run_attempt(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>) -> Attempt
     loop {
         match rx.recv_cancel(&cancelled) {
             Ok(chunk) => {
-                job.journal.lock().extend_from_slice(&chunk);
-                inner.bump_progress();
                 if wire_error.is_none() {
                     if let Err(e) = dec.feed(&chunk) {
                         wire_error = Some(e);
                     }
                 }
+                // Journaled before any kill, cancel or return check, so
+                // no consumed chunk is ever lost to redelivery.
+                job.journal.lock().push(chunk);
+                inner.bump_progress();
                 job.publish_progress(&dec, &inner.cfg.clock);
                 if job.take_kill(dec.decoded_events() as u64) {
                     return Attempt::Killed;
@@ -1037,9 +1040,10 @@ pub(crate) fn report_for_end(
 /// Decodes raw stream bytes offline and produces the report the live
 /// path would have produced for them — the recovery-side analysis.
 /// The chunking is immaterial (the decoder is incremental); 4 KiB
-/// matches the live redelivery path. A configured memory budget gets a
-/// fresh per-stream gauge, matching the one-stream-at-a-time pressure
-/// of the serial daemon so recovered verdicts stay byte-identical.
+/// matches the daemon's live feed chunk. A configured memory budget
+/// gets a fresh per-stream gauge, matching the one-stream-at-a-time
+/// pressure of the serial daemon so recovered verdicts stay
+/// byte-identical.
 pub(crate) fn analyze_bytes(cfg: &ServeCfg, tenant: &str, stream: &str, bytes: &[u8]) -> StreamReport {
     let rcfg = resolve_rcfg(cfg);
     let gauge = cfg.memory_budget.map(MemGauge::new);

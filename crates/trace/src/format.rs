@@ -194,6 +194,11 @@ impl StringTable {
 /// representation [`SrcLoc`] requires. Each distinct file name is leaked
 /// at most once per process, so replaying any number of traces costs a
 /// bounded handful of small allocations.
+///
+/// Every call takes one process-wide lock and hashes `s`, so decoders do
+/// not call it per record: a [`ResolvedStrings`] table calls it once per
+/// string-table entry that some record references, and answers every
+/// later reference with a plain index.
 pub fn intern_static(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(HashMap::new()));
@@ -207,6 +212,48 @@ pub fn intern_static(s: &str) -> &'static str {
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     map.insert(s.to_string(), leaked);
     leaked
+}
+
+/// A file's string table as one decode sees it: index → `&'static str`,
+/// resolved through [`intern_static`] the first time a record references
+/// the index and by a bounds-checked index every time after. Each
+/// decoder builds one per stream or file, so decoding a record never
+/// takes the process-wide intern lock once its file name is resolved,
+/// and names no record references are never leaked.
+#[derive(Debug, Default)]
+pub struct ResolvedStrings {
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug)]
+enum Slot {
+    /// Not referenced by any record yet.
+    Raw(String),
+    /// Resolved on first reference.
+    Interned(&'static str),
+}
+
+impl ResolvedStrings {
+    /// A table over `strings` (in string-table index order) with
+    /// nothing resolved yet.
+    pub fn new(strings: Vec<String>) -> ResolvedStrings {
+        ResolvedStrings { slots: strings.into_iter().map(Slot::Raw).collect() }
+    }
+
+    fn resolve(&mut self, idx: usize) -> Result<&'static str, TraceError> {
+        let slot = self
+            .slots
+            .get_mut(idx)
+            .ok_or(TraceError::Corrupt("string table index out of range"))?;
+        Ok(match slot {
+            Slot::Interned(file) => *file,
+            Slot::Raw(name) => {
+                let file = intern_static(name);
+                *slot = Slot::Interned(file);
+                file
+            }
+        })
+    }
 }
 
 fn dir_code(dir: RmaDir) -> u8 {
@@ -268,14 +315,11 @@ fn pull_loc(
     buf: &[u8],
     pos: &mut usize,
     state: &mut DeltaState,
-    strings: &[String],
+    strings: &mut ResolvedStrings,
 ) -> Result<SrcLoc, TraceError> {
-    let idx = read_u64(buf, pos)? as usize;
-    let file = strings
-        .get(idx)
-        .ok_or(TraceError::Corrupt("string table index out of range"))?;
+    let file = strings.resolve(read_u64(buf, pos)? as usize)?;
     let line = state.pull_line(buf, pos)?;
-    Ok(SrcLoc::synthetic(intern_static(file), line))
+    Ok(SrcLoc::synthetic(file, line))
 }
 
 /// Appends one event record to a stream, updating its delta state and the
@@ -378,12 +422,14 @@ fn read_rank(buf: &[u8], pos: &mut usize) -> Result<RankId, TraceError> {
         .map_err(|_| TraceError::Corrupt("rank id out of range"))
 }
 
-/// Decodes one event record at `*pos`, advancing it.
+/// Decodes one event record at `*pos`, advancing it. `strings` is the
+/// decode's own table: pass the same one for every record of a stream
+/// or file.
 pub fn decode_event(
     buf: &[u8],
     pos: &mut usize,
     state: &mut DeltaState,
-    strings: &[String],
+    strings: &mut ResolvedStrings,
 ) -> Result<TraceEvent, TraceError> {
     let op = *buf.get(*pos).ok_or(TraceError::Truncated)?;
     *pos += 1;
@@ -466,12 +512,12 @@ mod tests {
         for ev in events {
             encode_event(&mut out, ev, &mut st, &mut strings);
         }
-        let strings: Vec<String> = strings.strings().to_vec();
+        let mut strings = ResolvedStrings::new(strings.strings().to_vec());
         let mut pos = 0;
         let mut st = DeltaState::default();
         let mut back = Vec::new();
         while pos < out.len() {
-            back.push(decode_event(&out, &mut pos, &mut st, &strings).unwrap());
+            back.push(decode_event(&out, &mut pos, &mut st, &mut strings).unwrap());
         }
         back
     }
@@ -551,10 +597,10 @@ mod tests {
 
         // Decoding the tail with a *fresh* state must work — that is what
         // makes the epoch index a valid seek table.
-        let strs: Vec<String> = strings.strings().to_vec();
+        let mut strs = ResolvedStrings::new(strings.strings().to_vec());
         let mut pos = boundary;
         let mut st = DeltaState::default();
-        let ev = decode_event(&out, &mut pos, &mut st, &strs).unwrap();
+        let ev = decode_event(&out, &mut pos, &mut st, &mut strs).unwrap();
         assert_eq!(ev, mk(1000));
     }
 
@@ -566,12 +612,31 @@ mod tests {
     }
 
     #[test]
+    fn resolved_strings_intern_on_first_reference_only() {
+        let mut strings = ResolvedStrings::new(vec![
+            "resolve/used.c".to_string(),
+            "resolve/never.c".to_string(),
+        ]);
+        let a = strings.resolve(0).unwrap();
+        assert!(std::ptr::eq(a, strings.resolve(0).unwrap()));
+        assert!(std::ptr::eq(a, intern_static("resolve/used.c")));
+        assert!(
+            matches!(&strings.slots[1], Slot::Raw(_)),
+            "an unreferenced name must not be interned"
+        );
+        assert_eq!(
+            strings.resolve(2),
+            Err(TraceError::Corrupt("string table index out of range"))
+        );
+    }
+
+    #[test]
     fn corrupt_records_are_rejected_not_panicked() {
-        let strings: Vec<String> = vec![];
+        let mut strings = ResolvedStrings::default();
         for bad in [&[0xFFu8][..], &[OP_RMA, 200][..], &[OP_LOCAL][..]] {
             let mut pos = 0;
             let mut st = DeltaState::default();
-            assert!(decode_event(bad, &mut pos, &mut st, &strings).is_err());
+            assert!(decode_event(bad, &mut pos, &mut st, &mut strings).is_err());
         }
     }
 }

@@ -36,7 +36,7 @@ pub mod trace;
 pub mod varint;
 pub mod writer;
 
-pub use format::{intern_static, DeltaState, StringTable, TraceEvent};
+pub use format::{intern_static, DeltaState, ResolvedStrings, StringTable, TraceEvent};
 pub use gentest::{generate_test, sanitize_test_name};
 pub use minimize::{is_one_minimal, minimize, MinimizeReport};
 pub use replay::{

@@ -32,8 +32,8 @@
 //! shortest survivor. Garbage that happens to decode as valid records is
 //! bounded by the epoch cut but cannot be detected record-by-record.
 
-use crate::format::{decode_event, is_epoch_boundary, DeltaState, TraceEvent};
-use crate::trace::{parse_container_unverified, parse_header, Trace, TraceHeader};
+use crate::format::{decode_event, is_epoch_boundary, DeltaState, ResolvedStrings, TraceEvent};
+use crate::trace::{parse_container_unverified, parse_header, Footer, Trace, TraceHeader};
 use crate::TraceError;
 
 /// Outcome of a [`salvage`] run: the recovered (epoch-aligned) trace
@@ -93,32 +93,15 @@ pub fn salvage(bytes: &[u8]) -> Result<SalvageReport, TraceError> {
     // Layer 2: trailer survived (e.g. a bit flip tripped the checksum) —
     // use the unverified stream index and decode each rank until its
     // first bad record.
-    let indexed = parse_container_unverified(bytes).ok().map(|(_, footer, _)| {
-        let mut streams = Vec::new();
-        for &(off, len, _) in &footer.stream_index {
-            let mut events = Vec::new();
-            let start = usize::try_from(off).unwrap_or(usize::MAX);
-            let end = start.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
-            if let Some(body) = bytes.get(start..end.min(bytes.len())) {
-                let mut pos = 0;
-                let mut state = DeltaState::default();
-                while pos < body.len() {
-                    match decode_event(body, &mut pos, &mut state, &footer.strings) {
-                        Ok(ev) => events.push(ev),
-                        Err(_) => break,
-                    }
-                }
-            }
-            streams.push(events);
-        }
-        streams
-    });
+    let indexed = parse_container_unverified(bytes)
+        .ok()
+        .map(|(_, footer, _)| decode_indexed(bytes, footer).0);
 
     // Layer 3: no usable trailer. Streams are concatenated and
     // `Finish`-delimited, so walk them sequentially — v2 only, since the
     // decoder needs the string table and v1 kept it in the lost footer.
     let sequential = if header.version >= 2 {
-        Some(decode_sequential(bytes, body_start, &header, &header_strings))
+        Some(decode_sequential(bytes, body_start, &header, header_strings).0)
     } else if indexed.is_none() {
         return Err(primary);
     } else {
@@ -152,24 +135,57 @@ pub fn salvage(bytes: &[u8]) -> Result<SalvageReport, TraceError> {
     })
 }
 
-/// Decodes concatenated streams from `start`, splitting at `Finish`
-/// (which is where the encoder's delta state would be abandoned anyway),
-/// stopping at the first undecodable record or once all `nranks` streams
-/// have closed — whichever comes first. Trailing footer bytes in a
-/// mid-footer truncation are thereby never misread as records.
+/// Salvage layer 2: decodes each rank's stream through the footer's
+/// (unverified) stream index up to its first undecodable record. One
+/// string table serves the whole file. Returns the streams and the
+/// first record error met, in rank order.
+fn decode_indexed(bytes: &[u8], footer: Footer) -> (Vec<Vec<TraceEvent>>, Option<TraceError>) {
+    let mut strings = ResolvedStrings::new(footer.strings);
+    let mut first_error = None;
+    let mut streams = Vec::new();
+    for &(off, len, _) in &footer.stream_index {
+        let mut events = Vec::new();
+        let start = usize::try_from(off).unwrap_or(usize::MAX);
+        let end = start.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
+        if let Some(body) = bytes.get(start..end.min(bytes.len())) {
+            let mut pos = 0;
+            let mut state = DeltaState::default();
+            while pos < body.len() {
+                match decode_event(body, &mut pos, &mut state, &mut strings) {
+                    Ok(ev) => events.push(ev),
+                    Err(e) => {
+                        first_error.get_or_insert(e);
+                        break;
+                    }
+                }
+            }
+        }
+        streams.push(events);
+    }
+    (streams, first_error)
+}
+
+/// Salvage layer 3: decodes concatenated streams from `start`, splitting
+/// at `Finish` (which is where the encoder's delta state would be
+/// abandoned anyway), stopping at the first undecodable record or once
+/// all `nranks` streams have closed — whichever comes first. Trailing
+/// footer bytes in a mid-footer truncation are thereby never misread as
+/// records. Returns the streams and the record error it stopped at, if
+/// any.
 fn decode_sequential(
     bytes: &[u8],
     start: usize,
     header: &TraceHeader,
-    strings: &[String],
-) -> Vec<Vec<TraceEvent>> {
-    let strings = strings.to_vec();
+    strings: Vec<String>,
+) -> (Vec<Vec<TraceEvent>>, Option<TraceError>) {
+    let mut strings = ResolvedStrings::new(strings);
     let mut streams: Vec<Vec<TraceEvent>> = Vec::new();
     let mut cur: Vec<TraceEvent> = Vec::new();
     let mut state = DeltaState::default();
     let mut pos = start;
+    let mut error = None;
     while pos < bytes.len() && streams.len() < header.nranks as usize {
-        match decode_event(bytes, &mut pos, &mut state, &strings) {
+        match decode_event(bytes, &mut pos, &mut state, &mut strings) {
             Ok(ev) => {
                 let finished = matches!(ev, TraceEvent::Finish);
                 cur.push(ev);
@@ -178,13 +194,16 @@ fn decode_sequential(
                     state = DeltaState::default();
                 }
             }
-            Err(_) => break,
+            Err(e) => {
+                error = Some(e);
+                break;
+            }
         }
     }
     if !cur.is_empty() {
         streams.push(cur);
     }
-    streams
+    (streams, error)
 }
 
 /// Cuts every stream after its `k`-th epoch-closing record, `k` being
@@ -341,6 +360,70 @@ mod tests {
         // full epoch structure can survive rank 0's damage — but the
         // aligned result must still be consistent.
         assert_eq!(rep.trace.streams.len(), 2);
+    }
+
+    /// A valid file (checksum included) whose rank 0 record right after
+    /// the first epoch close names string-table index 127 of 2.
+    fn bad_string_index() -> Vec<u8> {
+        let mk = |lo: u64, file: &'static str| TraceEvent::Local {
+            interval: Interval::new(lo, lo + 7),
+            write: true,
+            on_stack: false,
+            tracked: true,
+            loc: SrcLoc::synthetic(file, 10),
+        };
+        let rank = |base: u64| {
+            vec![
+                TraceEvent::WinAllocate { win: WinId(0), base, len: 64 },
+                TraceEvent::LockAll { win: WinId(0) },
+                mk(base + 8, "salvage.c"),
+                TraceEvent::UnlockAll { win: WinId(0) },
+                mk(base + 16, "other.c"),
+                TraceEvent::Finish,
+            ]
+        };
+        let t = Trace {
+            header: TraceHeader {
+                version: FORMAT_VERSION,
+                nranks: 2,
+                seed: 7,
+                app: "bad-index".into(),
+            },
+            streams: vec![rank(0), rank(1 << 20)],
+        };
+        let mut bytes = t.encode();
+        let (_, footer, _) = parse_container_unverified(&bytes).unwrap();
+        let mark = footer.epoch_marks.iter().find(|m| m.rank == 0).unwrap();
+        // op, flags, lo delta (16 zigzags to one byte), span, file index.
+        let at = (footer.stream_index[0].0 + mark.byte_off) as usize + 4;
+        assert_eq!(bytes[at], 1, "the index of other.c");
+        bytes[at] = 127;
+        let sum_at = bytes.len() - crate::TAIL_MAGIC.len() - 8;
+        let sum = crate::trace::fnv1a(&bytes[..sum_at]);
+        bytes[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn out_of_range_string_index_is_one_error_on_every_decode_path() {
+        let want = TraceError::Corrupt("string table index out of range");
+        let bytes = bad_string_index();
+        assert_eq!(Trace::decode(&bytes), Err(want), "whole file");
+        assert_eq!(Trace::decode_from_epoch(&bytes, 0, 0), Err(want), "epoch seek");
+        let mut dec = crate::StreamDecoder::new();
+        for piece in bytes.chunks(5) {
+            dec.feed(piece).unwrap();
+        }
+        assert_eq!(dec.finish().unwrap().diagnosis, Some(want), "stream");
+        let (_, footer, _) = parse_container_unverified(&bytes).unwrap();
+        assert_eq!(decode_indexed(&bytes, footer).1, Some(want), "salvage, indexed");
+        let (header, strings, body_start) = parse_header(&bytes).unwrap();
+        assert_eq!(
+            decode_sequential(&bytes, body_start, &header, strings).1,
+            Some(want),
+            "salvage, sequential"
+        );
+        assert_eq!(salvage(&bytes).unwrap().diagnosis, Some(want));
     }
 
     #[test]

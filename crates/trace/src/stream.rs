@@ -25,7 +25,7 @@
 //! as a plausible record — byte-level integrity is the transport's job
 //! here, the format's only for whole-file reads.
 
-use crate::format::{decode_event, is_epoch_boundary, DeltaState, TraceEvent};
+use crate::format::{decode_event, is_epoch_boundary, DeltaState, ResolvedStrings, TraceEvent};
 use crate::salvage::align_to_epochs;
 use crate::trace::{parse_header, Trace, TraceHeader};
 use crate::TraceError;
@@ -62,7 +62,8 @@ pub struct StreamDecoder {
     /// Bytes of `buf` already decoded (v2 only; compacted lazily).
     consumed: usize,
     header: Option<TraceHeader>,
-    strings: Vec<String>,
+    /// The header string table, resolved on first reference.
+    strings: ResolvedStrings,
     /// `true` once a v1 header is seen: buffer whole, decode at finish.
     legacy: bool,
     state: DeltaState,
@@ -131,13 +132,18 @@ impl StreamDecoder {
     /// genuinely corrupt record poisons the decode at its position, to
     /// be reported (with the events before it intact) by `finish`.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<usize, TraceError> {
+        if self.poisoned.is_some() || self.is_complete() {
+            // A poisoned or complete v2 decode ignores further bytes
+            // (trailer or unusable), so it does not buffer them either.
+            return Ok(0);
+        }
         self.buf.extend_from_slice(chunk);
         if self.header.is_none() {
             match parse_header(&self.buf) {
                 Ok((header, strings, body_start)) => {
                     self.legacy = header.version < 2;
                     self.header = Some(header);
-                    self.strings = strings;
+                    self.strings = ResolvedStrings::new(strings);
                     self.consumed = body_start;
                 }
                 // Permanent: more bytes cannot fix the first 8 bytes or
@@ -148,9 +154,8 @@ impl StreamDecoder {
                 Err(_) => return Ok(0),
             }
         }
-        if self.legacy || self.poisoned.is_some() || self.is_complete() {
-            // v1 keeps buffering; a poisoned or complete v2 decode
-            // ignores further bytes (trailer or unusable).
+        if self.legacy {
+            // v1 buffers the whole file and decodes it at `finish`.
             return Ok(0);
         }
         let before = self.decoded_events;
@@ -160,7 +165,7 @@ impl StreamDecoder {
             // must not corrupt the committed position or delta chain.
             let mut pos = self.consumed;
             let mut state = self.state;
-            match decode_event(&self.buf, &mut pos, &mut state, &self.strings) {
+            match decode_event(&self.buf, &mut pos, &mut state, &mut self.strings) {
                 Ok(ev) => {
                     self.consumed = pos;
                     self.state = state;
@@ -348,6 +353,33 @@ mod tests {
             .map(|s| s.iter().filter(|e| is_epoch_boundary(e)).count())
             .sum();
         assert_eq!(dec.epoch_marks(), boundary_total);
+    }
+
+    #[test]
+    fn bytes_after_completion_or_poison_are_not_buffered() {
+        let bytes = sample().encode();
+        let more = vec![0u8; 1 << 20];
+
+        let mut dec = StreamDecoder::new();
+        dec.feed(&bytes).unwrap();
+        assert!(dec.is_complete());
+        let tail = dec.buffered_bytes();
+        assert!(tail < 256, "only trailer bytes remain: {tail}");
+        assert_eq!(dec.feed(&more), Ok(0));
+        assert_eq!(dec.buffered_bytes(), tail, "a complete decode buffered more");
+
+        // An invalid opcode where rank 0's first record should start.
+        let body_start = parse_header(&bytes).unwrap().2;
+        let mut dam = bytes[..body_start].to_vec();
+        dam.push(0xFF);
+        let mut dec = StreamDecoder::new();
+        dec.feed(&dam).unwrap();
+        let tail = dec.buffered_bytes();
+        assert!(tail <= 1, "only the bad record remains: {tail}");
+        assert_eq!(dec.feed(&more), Ok(0));
+        assert_eq!(dec.buffered_bytes(), tail, "a poisoned decode buffered more");
+        let end = dec.finish().unwrap();
+        assert_eq!(end.diagnosis, Some(TraceError::Corrupt("unknown opcode")));
     }
 
     /// Byte offset one past the last record (the footer's start), from

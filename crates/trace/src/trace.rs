@@ -40,7 +40,8 @@
 //! `BadMagic` instead of misparsing.
 
 use crate::format::{
-    decode_event, encode_event, is_epoch_boundary, DeltaState, StringTable, TraceEvent,
+    decode_event, encode_event, is_epoch_boundary, DeltaState, ResolvedStrings, StringTable,
+    TraceEvent,
 };
 use crate::varint::{read_u64, write_u64};
 use crate::TraceError;
@@ -198,6 +199,7 @@ impl Trace {
     /// Decodes a complete trace, verifying magic, version and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         let (header, footer, _) = parse_container(bytes)?;
+        let mut strings = ResolvedStrings::new(footer.strings);
         let mut streams = Vec::with_capacity(footer.stream_index.len());
         for &(off, len, count) in &footer.stream_index {
             let start = usize::try_from(off).map_err(|_| TraceError::Truncated)?;
@@ -210,7 +212,7 @@ impl Trace {
             // Untrusted count; every record costs at least one byte.
             let mut events = Vec::with_capacity((count as usize).min(body.len()));
             for _ in 0..count {
-                events.push(decode_event(body, &mut pos, &mut state, &footer.strings)?);
+                events.push(decode_event(body, &mut pos, &mut state, &mut strings)?);
             }
             if pos != body.len() {
                 return Err(TraceError::Corrupt("trailing garbage in stream"));
@@ -260,9 +262,10 @@ impl Trace {
             return Err(TraceError::Truncated);
         }
         let mut state = DeltaState::default();
+        let mut strings = ResolvedStrings::new(footer.strings);
         let mut events = Vec::new();
         for _ in mark.event_idx..count {
-            events.push(decode_event(body, &mut pos, &mut state, &footer.strings)?);
+            events.push(decode_event(body, &mut pos, &mut state, &mut strings)?);
         }
         Ok(events)
     }
