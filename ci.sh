@@ -169,6 +169,27 @@ echo "==> differential campaign: store engines and the delivery x batch grid"
 timeout 300 cargo test -q --offline -p rma-core --test engine_prop
 timeout 600 cargo test -q --offline -p rma-suite --test grid_equivalence
 
+echo "==> flake sweep: thread-sensitive suites, 10 runs each, oversubscribed"
+# A timing-dependent test is a bug, not noise. Each binary below runs 10
+# times under 8 test threads, every run under `timeout`; one failed or
+# wedged run fails CI, and nothing is skipped or retried.
+for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
+    rma-trace:replay_fidelity rma-suite:grid_equivalence; do
+    PKG=${SUITE%%:*}
+    TEST=${SUITE#*:}
+    RUN=1
+    while [ "$RUN" -le 10 ]; do
+        if ! timeout 300 cargo test -q --offline -p "$PKG" --test "$TEST" -- --test-threads 8 \
+            > "$SMOKE_DIR/flake.log" 2>&1; then
+            cat "$SMOKE_DIR/flake.log" >&2
+            echo "ERROR: $TEST failed on run $RUN of 10" >&2
+            exit 1
+        fi
+        RUN=$((RUN + 1))
+    done
+    echo "    $TEST: 10/10 runs green"
+done
+
 echo "==> bench_hotpath smoke: runs, self-validates, baseline stays well-formed"
 # The smoke benchmark must complete quickly and emit a schema-valid
 # report; the checked-in baseline must stay schema-valid too (it is

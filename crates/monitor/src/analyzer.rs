@@ -1,29 +1,27 @@
 //! The RMA-Analyzer runtime: glue between the simulator's instrumentation
-//! events and the per-(rank, window) access stores of `rma-core`,
-//! implementing the paper's Section 5.1 protocol:
+//! events and the epoch protocol of [`crate::epoch`] (the paper's
+//! Section 5.1 and Section 6 rules, shared with offline replay). This
+//! module adds the threading, the notification transport and receiver
+//! recovery:
 //!
-//! * one access store ("BST") per window per MPI process, holding the
-//!   owner's local accesses and all remote accesses into the window;
 //! * every remote access is *notified* to the target — either inserted
-//!   directly under the target store's lock ([`Delivery::Direct`]) or
+//!   directly under the target slot's lock ([`Delivery::Direct`]) or
 //!   sent as a message to a per-rank receiver thread
 //!   ([`Delivery::Messages`], the paper's design: "each time a remote
 //!   access is initiated... an MPI_Send is called... a thread is created
 //!   to receive all the MPI_Send");
 //! * at `MPI_Win_unlock_all`, all processes join a reduction computing
-//!   how many remote accesses were issued towards each window, wait for
-//!   those notifications to be processed, and clear their store (end of
-//!   epoch);
-//! * a `MPI_Win_flush_all` followed by a barrier in which *every* rank
-//!   participated with no one-sided operation issued in between clears
-//!   the stores too (the synchronization pattern recommended in the
-//!   paper's Section 6).
+//!   how many remote accesses were issued towards each window, and wait
+//!   for those notifications to be processed before the epoch closes;
+//! * a fence or barrier release first drains the notifications in
+//!   flight.
 //!
 //! The alias-analysis stand-in: local events flagged `tracked = false`
 //! are skipped, like the loads/stores the LLVM alias analysis proves
 //! irrelevant. (The MUST-like detector of `rma-must` processes them all —
 //! that difference is a measured overhead source in the paper.)
 
+use crate::epoch::{self, EpochState, Slot, SlotCell, Verdict};
 use crate::reduce::KeyedReduce;
 use rma_substrate::channel::{unbounded, Receiver, Sender};
 use rma_substrate::sync::{Condvar, Mutex, RwLock};
@@ -202,10 +200,11 @@ impl AnalyzerCfg {
     }
 }
 
-/// Per-window detector state shared by all ranks.
+/// The live epoch state: each (window, rank) slot behind its own lock.
+type LiveEpoch = EpochState<Mutex<Slot>>;
+
+/// Per-window notification accounting shared by all ranks.
 struct WinDet {
-    stores: Vec<Mutex<Box<dyn AccessStore + Send>>>,
-    epoch_open: Vec<AtomicBool>,
     epoch_seq: Vec<AtomicU64>,
     /// Cumulative count of remote accesses issued by rank `o` towards
     /// rank `t`'s window: `sent[o][t]`.
@@ -213,29 +212,42 @@ struct WinDet {
     /// Cumulative count of remote-access records processed at each
     /// target.
     received: Vec<AtomicU64>,
-    /// Has the rank called `flush_all` with no one-sided operation issued
-    /// since?
-    flushed: Vec<AtomicBool>,
     /// Wakes ranks waiting for `received` to advance.
     recv_gate: (Mutex<()>, Condvar),
 }
 
 impl WinDet {
-    fn new(nranks: u32, cfg: &AnalyzerCfg) -> Self {
+    fn new(nranks: u32) -> Self {
         let n = nranks as usize;
         WinDet {
-            stores: (0..n).map(|_| Mutex::new(cfg.build_store(None))).collect(),
-            epoch_open: (0..n).map(|_| AtomicBool::new(false)).collect(),
             epoch_seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
             sent: (0..n).map(|_| Mutex::new(vec![0; n])).collect(),
             received: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            flushed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             recv_gate: (Mutex::new(()), Condvar::new()),
         }
     }
 
-    fn bump_received(&self, target: RankId) {
-        self.received[target.index()].fetch_add(1, Ordering::Release);
+    /// Polls, for up to 5 s or until `cancelled`, until every
+    /// notification sent on this window has been processed; `true` when
+    /// drained. Called with every rank thread parked in a collective.
+    fn drain(&self, cancelled: impl Fn() -> bool) -> bool {
+        let expected: u64 = self.sent.iter().map(|s| s.lock().iter().sum::<u64>()).sum();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let received: u64 = self.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
+            if received >= expected {
+                return true;
+            }
+            if Instant::now() >= deadline || cancelled() {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    /// Publishes `n` more processed notifications at `target`.
+    fn bump_received(&self, target: RankId, n: u64) {
+        self.received[target.index()].fetch_add(n, Ordering::Release);
         let _g = self.recv_gate.0.lock();
         self.recv_gate.1.notify_all();
     }
@@ -260,7 +272,7 @@ impl WinDet {
 /// `seq` numbers the notifications towards one target rank monotonically
 /// (assigned under that rank's journal lock, so channel order equals
 /// sequence order): redelivery after a receiver recovery is at-least-once
-/// on the wire and the watermark check in `deliver_remote_recv` makes it
+/// on the wire and the watermark check in `deliver_recv` makes it
 /// exactly-once in analysis effect.
 enum Note {
     Remote { seq: u64, win: WinId, acc: MemAccess },
@@ -316,7 +328,7 @@ struct RecvJournal {
 
 /// Per-rank receiver supervision (`Messages` mode).
 ///
-/// Lock order: `journal` → store lock → (`senders`/`wins` read). The
+/// Lock order: `journal` → `epoch` read → slot lock → (`senders`/`wins`). The
 /// receiver itself never takes `journal`, so killing and joining it
 /// while holding the journal lock cannot deadlock.
 struct RecvSup {
@@ -336,6 +348,9 @@ type BatchBuf = Mutex<Vec<(WinId, MemAccess)>>;
 struct Inner {
     cfg: AnalyzerCfg,
     nranks: AtomicU64,
+    /// The per-(window, rank) stores and epoch marks. Lock order:
+    /// journal → `epoch` (read) → slot.
+    epoch: RwLock<LiveEpoch>,
     wins: RwLock<Vec<Arc<WinDet>>>,
     collected: Mutex<Vec<RaceReport>>,
     reduce: KeyedReduce<(u32, u64, u8)>,
@@ -399,66 +414,21 @@ impl Inner {
         }
     }
 
-    /// Inserts a remote access record at its target (receiver side of the
-    /// notification protocol). Returns the race verdict.
-    fn deliver_remote(&self, win: WinId, acc: MemAccess, target: RankId) -> HookResult {
-        let w = self.windet(win);
-        let verdict = {
-            let mut store = w.stores[target.index()].lock();
-            store.record(acc)
-        };
-        // Register the race (poisoning, in Abort mode) BEFORE publishing
-        // the processed count: a rank woken by `wait_received` must
-        // already be able to observe the poison flag, or it would close
-        // its epoch without escalating the abort.
-        let hook = match verdict {
-            Ok(()) => Ok(()),
-            Err(report) => self.race(report),
-        };
-        w.bump_received(target);
-        hook
-    }
-
-    /// `Messages`-mode receiver side: like [`Inner::deliver_remote`] but
-    /// watermark-checked, so redelivered notifications are analyzed
-    /// exactly once. A skipped duplicate bumps nothing — the original
-    /// processing already counted it.
-    fn deliver_remote_recv(&self, win: WinId, acc: MemAccess, target: RankId, seq: u64) {
-        let sup = self.sup.read()[target.index()].clone();
-        if sup.processed.load(Ordering::Acquire) >= seq {
-            return;
-        }
-        let w = self.windet(win);
-        let verdict = {
-            let mut store = w.stores[target.index()].lock();
-            let v = store.record(acc);
-            // Watermark and store advance together (same critical
-            // section): a recovery joining this thread sees either both
-            // effects of a note or neither, never half.
-            sup.processed.store(seq, Ordering::Release);
-            v
-        };
-        if let Err(report) = verdict {
-            // Races found on receiver threads are escalated by the next
-            // hook on any rank thread (via `pending_poison`).
-            let _ = self.race(report);
-        }
-        w.bump_received(target);
-    }
-
-    /// `Messages`-mode receiver side for a coalesced [`Note::Batch`]:
-    /// the same per-item watermark discipline as
-    /// [`Inner::deliver_remote_recv`], with the per-note overheads
-    /// amortized over the batch — a run of consecutive same-window items
-    /// is applied under a single store-lock acquisition, the processed
-    /// count advances by the whole run at once and the receive gate is
-    /// notified once per run instead of once per item (waiters poll the
-    /// count every 2 ms anyway, so delivery latency is unaffected).
+    /// `Messages`-mode receiver side: records the target halves of one
+    /// [`Note::Remote`] or [`Note::Batch`], numbered `base_seq..` in
+    /// order. The watermark makes analysis exactly-once: a redelivered
+    /// duplicate is skipped and counts nothing. A run of consecutive
+    /// same-window items is applied under a single slot-lock
+    /// acquisition, the processed count advances by the whole run at
+    /// once and the receive gate is notified once per run (waiters poll
+    /// the count every 2 ms anyway, so delivery latency is unaffected).
+    /// Races found here are escalated by the next hook on any rank
+    /// thread (via `pending_poison`).
     ///
-    /// Returns `false` if the kill flag fired mid-batch; the watermark
+    /// Returns `false` if the kill flag fired mid-run; the watermark
     /// then sits exactly at the last processed item and recovery
-    /// re-delivers the unprocessed tail, just as for the per-note path.
-    fn deliver_batch_recv(
+    /// re-delivers the unprocessed tail.
+    fn deliver_recv(
         &self,
         items: &[(WinId, MemAccess)],
         target: RankId,
@@ -468,16 +438,12 @@ impl Inner {
         let sup = self.sup.read()[target.index()].clone();
         let mut i = 0;
         while i < items.len() {
-            if die.load(Ordering::Acquire) {
-                return false;
-            }
             let win = items[i].0;
             let w = self.windet(win);
             let mut raced: Option<Box<RaceReport>> = None;
             let mut delivered = 0u64;
             let mut killed = false;
-            {
-                let mut store = w.stores[target.index()].lock();
+            self.epoch.read().slot(win, target).with(|slot| {
                 while i < items.len() && items[i].0 == win {
                     // A kill can land mid-run: the loop exits with the
                     // watermark mid-batch, exactly like a crash between
@@ -488,9 +454,10 @@ impl Inner {
                     }
                     let seq = base_seq + i as u64;
                     if sup.processed.load(Ordering::Acquire) < seq {
-                        let verdict = store.record(items[i].1);
+                        let verdict = slot.store().record(items[i].1);
                         // Watermark and store advance together (same
-                        // critical section), as in the per-note path.
+                        // critical section): a recovery joining this
+                        // thread sees both effects of a note or neither.
                         sup.processed.store(seq, Ordering::Release);
                         match verdict {
                             Ok(()) => delivered += 1,
@@ -507,18 +474,12 @@ impl Inner {
                     }
                     i += 1;
                 }
-            }
-            if delivered > 0 {
-                w.received[target.index()].fetch_add(delivered, Ordering::Release);
-            }
+            });
             if let Some(report) = raced {
                 let _ = self.race(report);
-                w.received[target.index()].fetch_add(1, Ordering::Release);
+                delivered += 1;
             }
-            {
-                let _g = w.recv_gate.0.lock();
-                w.recv_gate.1.notify_all();
-            }
+            w.bump_received(target, delivered);
             if killed {
                 return false;
             }
@@ -526,40 +487,36 @@ impl Inner {
         true
     }
 
-    /// Records an access into `stores[rank]` of `win` from a rank thread
-    /// (a local access or an operation's origin-side record). In
-    /// `Messages` mode the insert is journaled — and performed — under
-    /// the rank's journal lock, so a concurrent recovery either replays
-    /// the entry or observes a store without it, never a torn state.
+    /// Records into `rank`'s own slots from its rank thread: `rule`
+    /// applies epoch rules and reports each (window, access, verdict)
+    /// it recorded. In `Messages` mode the rule runs, and each insert is
+    /// journaled, under the rank's journal lock, so a concurrent
+    /// recovery either replays the entry or observes a store without
+    /// it, never a torn state. Returns the first race's hook result.
     fn record_inline(
         &self,
-        w: &WinDet,
-        win: WinId,
         rank: RankId,
-        acc: MemAccess,
-    ) -> Result<(), Box<RaceReport>> {
-        if self.cfg.delivery != Delivery::Messages {
-            return w.stores[rank.index()].lock().record(acc);
-        }
-        let sup = self.sup.read()[rank.index()].clone();
-        let mut j = sup.journal.lock();
-        let verdict = w.stores[rank.index()].lock().record(acc);
-        if verdict.is_ok() {
+        rule: impl FnOnce(&LiveEpoch, &mut dyn FnMut(WinId, MemAccess, Verdict)),
+    ) -> HookResult {
+        let sups = (self.cfg.delivery == Delivery::Messages).then(|| self.sup.read());
+        let mut journal = sups.as_ref().map(|s| s[rank.index()].journal.lock());
+        let mut hook = Ok(());
+        rule(&self.epoch.read(), &mut |win, acc, verdict| match verdict {
             // A racing access is never inserted, so it is not journaled
             // either: a replay reproduces exactly the stored contents.
-            j.entries.push(RecvEntry::Applied { win, acc });
-        }
-        verdict
-    }
-
-    /// Clears every store of `win` (used by the flush+barrier rule).
-    fn clear_window(&self, win: &WinDet) {
-        for store in &win.stores {
-            store.lock().clear();
-        }
-        for f in &win.flushed {
-            f.store(false, Ordering::Relaxed);
-        }
+            Ok(()) => {
+                if let Some(j) = journal.as_mut() {
+                    j.entries.push(RecvEntry::Applied { win, acc });
+                }
+            }
+            Err(report) => {
+                let raced = self.race(report);
+                if hook.is_ok() {
+                    hook = raced;
+                }
+            }
+        });
+        hook
     }
 }
 
@@ -594,6 +551,7 @@ impl RmaAnalyzer {
             inner: Arc::new(Inner {
                 cfg,
                 nranks: AtomicU64::new(0),
+                epoch: RwLock::new(EpochState::new(0)),
                 wins: RwLock::new(Vec::new()),
                 collected: Mutex::new(Vec::new()),
                 reduce: KeyedReduce::default(),
@@ -616,12 +574,7 @@ impl RmaAnalyzer {
 
     /// Per-window, per-rank store statistics.
     pub fn window_stats(&self) -> Vec<Vec<StoreStats>> {
-        self.inner
-            .wins
-            .read()
-            .iter()
-            .map(|w| w.stores.iter().map(|s| s.lock().stats()).collect())
-            .collect()
+        self.inner.epoch.read().window_stats()
     }
 
     /// Sum of peak node counts over every store — the paper's "number of
@@ -670,18 +623,17 @@ impl RmaAnalyzer {
                     }
                     match note {
                         Note::Stop => break,
+                        // The kill flag is re-checked per item inside: a
+                        // crash can land mid-batch, leaving the watermark
+                        // mid-batch, and recovery must re-deliver exactly
+                        // the unprocessed tail.
                         Note::Remote { seq, win, acc } => {
-                            // A race found here is recorded; the next hook
-                            // on any rank thread observes `poisoned` and
-                            // aborts the world (the receiver thread cannot).
-                            inner.deliver_remote_recv(win, acc, rank, seq);
+                            if !inner.deliver_recv(&[(win, acc)], rank, seq, &die_flag) {
+                                break 'recv;
+                            }
                         }
                         Note::Batch { base_seq, items } => {
-                            // The kill flag is re-checked per item inside:
-                            // a crash can land mid-batch, leaving the
-                            // watermark mid-batch, and recovery must
-                            // re-deliver exactly the unprocessed tail.
-                            if !inner.deliver_batch_recv(&items, rank, base_seq, &die_flag) {
+                            if !inner.deliver_recv(&items, rank, base_seq, &die_flag) {
                                 break 'recv;
                             }
                         }
@@ -813,10 +765,10 @@ impl RmaAnalyzer {
         // Restore: roll every store of this rank back to the checkpoint
         // *before* re-delivering — replaying an already-recorded access
         // against a store that still holds it would self-conflict.
-        let wins: Vec<Arc<WinDet>> = self.inner.wins.read().iter().cloned().collect();
-        for (wi, w) in wins.iter().enumerate() {
+        let epoch = self.inner.epoch.read();
+        for (wi, slot) in epoch.slots_of(rank).enumerate() {
             let snap = j.checkpoint.get(wi).map(Vec::as_slice).unwrap_or(&[]);
-            w.stores[rank.index()].lock().restore(snap);
+            slot.with(|s| s.store().restore(snap));
         }
         // Fresh channel + receiver; the stale sender is unreachable from
         // here on, so no notification can race past the journal.
@@ -839,16 +791,14 @@ impl RmaAnalyzer {
         // notification carries a remote one.
         let processed = sup.processed.load(Ordering::Acquire);
         for e in &j.entries {
-            match e {
-                RecvEntry::Applied { win, acc } => {
-                    let _ = wins[win.index()].stores[rank.index()].lock().record(*acc);
-                }
-                RecvEntry::Sent { seq, win, acc } if *seq <= processed => {
-                    let _ = wins[win.index()].stores[rank.index()].lock().record(*acc);
-                }
-                RecvEntry::Sent { .. } => {}
-            }
+            let (win, acc) = match e {
+                RecvEntry::Applied { win, acc } => (win, acc),
+                RecvEntry::Sent { seq, win, acc } if *seq <= processed => (win, acc),
+                RecvEntry::Sent { .. } => continue,
+            };
+            let _ = epoch.slot(*win, rank).with(|s| s.store().record(*acc));
         }
+        drop(epoch);
         for e in &j.entries {
             if let RecvEntry::Sent { seq, win, acc } = e {
                 if *seq > processed {
@@ -884,10 +834,12 @@ impl RmaAnalyzer {
         // Inline inserts and sends towards this rank both hold the
         // journal lock, and the idle receiver has nothing queued: the
         // snapshot below is a consistent cut of the rank's stores.
-        let wins: Vec<Arc<WinDet>> = self.inner.wins.read().iter().cloned().collect();
-        j.checkpoint = wins
-            .iter()
-            .map(|w| w.stores[rank.index()].lock().snapshot())
+        j.checkpoint = self
+            .inner
+            .epoch
+            .read()
+            .slots_of(rank)
+            .map(|slot| slot.with(|s| s.store().snapshot()))
             .collect();
         j.entries.clear();
     }
@@ -896,6 +848,7 @@ impl RmaAnalyzer {
 impl Monitor for RmaAnalyzer {
     fn on_world_start(&self, nranks: u32) {
         self.inner.nranks.store(u64::from(nranks), Ordering::Relaxed);
+        *self.inner.epoch.write() = EpochState::new(nranks);
         if self.inner.cfg.delivery == Delivery::Messages {
             let mut senders = self.inner.senders.write();
             let mut sups = self.inner.sup.write();
@@ -944,15 +897,18 @@ impl Monitor for RmaAnalyzer {
     }
 
     fn on_win_allocate(&self, _rank: RankId, win: WinId, _base: u64, _len: u64) {
-        let mut wins = self.inner.wins.write();
-        while wins.len() <= win.index() {
-            wins.push(Arc::new(WinDet::new(self.inner.nranks(), &self.inner.cfg)));
+        let inner = &self.inner;
+        {
+            let mut wins = inner.wins.write();
+            while wins.len() <= win.index() {
+                wins.push(Arc::new(WinDet::new(inner.nranks())));
+            }
         }
+        inner.epoch.write().ensure_window(win, || inner.cfg.build_store(None));
     }
 
     fn on_lock_all(&self, rank: RankId, win: WinId) {
-        let w = self.inner.windet(win);
-        w.epoch_open[rank.index()].store(true, Ordering::Relaxed);
+        self.inner.epoch.read().open(win, rank);
     }
 
     fn on_local(&self, ev: &LocalEvent) -> HookResult {
@@ -963,69 +919,49 @@ impl Monitor for RmaAnalyzer {
         // from this rank thread.
         self.inner.pending_poison()?;
         let acc = MemAccess::new(ev.interval, ev.kind, ev.rank, ev.loc);
-        let wins: Vec<Arc<WinDet>> = self.inner.wins.read().iter().cloned().collect();
-        for (wi, w) in wins.iter().enumerate() {
-            // Local accesses are only relevant while the rank is inside an
-            // epoch on that window (outside, no remote access can overlap).
-            if !w.epoch_open[ev.rank.index()].load(Ordering::Relaxed) {
-                continue;
-            }
-            let verdict = self.inner.record_inline(w, WinId(wi as u32), ev.rank, acc);
-            if let Err(report) = verdict {
-                return self.inner.race(report);
-            }
-        }
-        Ok(())
+        self.inner.record_inline(ev.rank, |epoch, on| {
+            epoch.local(ev.rank, acc, |win, verdict| on(win, acc, verdict))
+        })
     }
 
     fn on_rma(&self, ev: &RmaEvent) -> HookResult {
         let inner = &self.inner;
         inner.pending_poison()?;
+        let [origin_acc, target_acc] = epoch::rma_halves(ev);
         let w = inner.windet(ev.win);
-        // Issuing a one-sided operation invalidates any earlier flush.
-        w.flushed[ev.origin.index()].store(false, Ordering::Relaxed);
-
-        // Origin-side record (local buffer of the origin process).
-        let origin_acc =
-            MemAccess::new(ev.origin_interval, ev.origin_kind(), ev.origin, ev.loc);
-        let verdict = inner.record_inline(&w, ev.win, ev.origin, origin_acc);
-        if let Err(report) = verdict {
-            return inner.race(report);
-        }
-
-        // Target-side record: notify the target.
-        let target_acc =
-            MemAccess::new(ev.target_interval, ev.target_kind(), ev.origin, ev.loc);
         w.sent[ev.origin.index()].lock()[ev.target.index()] += 1;
-        match inner.cfg.delivery {
-            Delivery::Direct => inner.deliver_remote(ev.win, target_acc, ev.target),
-            Delivery::Messages if ev.target == ev.origin => {
-                // Self-targeted op: deliver inline instead of through the
-                // rank's own receiver. The order-aware conflict rule reads
-                // the store's insertion order as program order for
-                // same-issuer pairs, and only a self-notification can land
-                // in the same store as its issuer's local accesses — routed
-                // through the receiver it would arrive after later local
-                // accesses and turn `Get; Store` into the safe-looking
-                // `Store; Get`, nondeterministically masking the race.
-                let hook = match inner.record_inline(&w, ev.win, ev.origin, target_acc) {
-                    Ok(()) => Ok(()),
-                    Err(report) => inner.race(report),
-                };
-                w.bump_received(ev.target);
-                hook
+        // The target half is recorded inline too under `Direct`, and for
+        // a self-targeted op under `Messages`: the order-aware conflict
+        // rule reads the store's insertion order as program order for
+        // same-issuer pairs, and only a self-notification can land in
+        // the same store as its issuer's local accesses — routed through
+        // the receiver it would arrive after later local accesses and
+        // turn `Get; Store` into the safe-looking `Store; Get`,
+        // nondeterministically masking the race.
+        let inline_target = inner.cfg.delivery == Delivery::Direct || ev.target == ev.origin;
+        let hook = inner.record_inline(ev.origin, |epoch, on| {
+            on(ev.win, origin_acc, epoch.rma_origin(ev.win, ev.origin, origin_acc));
+            if inline_target {
+                on(ev.win, target_acc, epoch.rma_target(ev.win, ev.target, target_acc));
             }
-            Delivery::Messages if inner.cfg.batch_size > 1 => {
-                self.buffer_remote(ev.origin, ev.target, ev.win, target_acc);
-                Ok(())
-            }
-            Delivery::Messages => self.send_remote(ev.target, ev.win, target_acc),
+        });
+        if inline_target {
+            // The race is registered (poisoning, in Abort mode) before
+            // the processed count is published: a rank woken by
+            // `wait_received` must already observe the poison flag, or
+            // it would close its epoch without escalating the abort.
+            w.bump_received(ev.target, 1);
+            hook
+        } else if inner.cfg.batch_size > 1 {
+            self.buffer_remote(ev.origin, ev.target, ev.win, target_acc);
+            hook
+        } else {
+            hook.and(self.send_remote(ev.target, ev.win, target_acc))
         }
     }
 
     fn on_flush_all(&self, rank: RankId, win: WinId) {
-        let w = self.inner.windet(win);
-        w.flushed[rank.index()].store(true, Ordering::Relaxed);
+        self.inner.epoch.read().flush_all(win, rank);
     }
 
     fn on_unlock_all(&self, rank: RankId, win: WinId) -> HookResult {
@@ -1061,10 +997,8 @@ impl Monitor for RmaAnalyzer {
         // Did draining surface a race (Messages mode)?
         inner.pending_poison()?;
 
-        // End of epoch: the store's accesses are all completed and
-        // mutually ordered with everything that follows.
-        w.stores[rank.index()].lock().clear();
-        w.epoch_open[rank.index()].store(false, Ordering::Relaxed);
+        // End of epoch: every notification towards this rank landed.
+        inner.epoch.read().unlock_all(win, rank);
         w.epoch_seq[rank.index()].fetch_add(1, Ordering::Relaxed);
 
         // Second phase: nobody leaves unlock_all until every rank cleared,
@@ -1094,41 +1028,17 @@ impl Monitor for RmaAnalyzer {
         // flushing here guarantees every buffered notification is in its
         // channel before the drain loop counts arrivals.
         self.flush_pending_from(rank);
-        // Fences open an access epoch: local accesses after the fence are
-        // exposed until the next fence.
-        let w = self.inner.windet(win);
-        w.epoch_open[rank.index()].store(true, Ordering::Relaxed);
+        self.inner.epoch.read().open(win, rank);
     }
 
     fn on_fence_last(&self, win: WinId) {
-        // Active-target synchronization: everything before the fence
-        // happens-before everything after. All rank threads are parked in
-        // the fence; drain in-flight notifications, then clear the
-        // window's stores.
+        // All rank threads are parked in the fence: drain in-flight
+        // notifications, release, then checkpoint every rank whose
+        // receiver has drained.
         let inner = &self.inner;
-        let w = inner.windet(win);
-        let expected: u64 = {
-            let n = inner.nranks() as usize;
-            let mut sum = 0u64;
-            for o in 0..n {
-                sum += w.sent[o].lock().iter().sum::<u64>();
-            }
-            sum
-        };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let received: u64 = w.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-            if received >= expected || Instant::now() >= deadline || inner.cancelled() {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        for store in &w.stores {
-            store.lock().clear();
-        }
-        // All rank threads are parked in the fence: checkpoint every
-        // rank whose receiver has drained.
-        for r in 0..self.inner.nranks() {
+        inner.windet(win).drain(|| inner.cancelled());
+        inner.epoch.read().fence_release(win);
+        for r in 0..inner.nranks() {
             self.checkpoint_recv_if_quiescent(RankId(r));
         }
     }
@@ -1141,48 +1051,11 @@ impl Monitor for RmaAnalyzer {
     }
 
     fn on_barrier_last(&self) {
-        // Section 6 rule: flush_all on every rank followed by a barrier
-        // synchronizes the epoch's accesses; the stores can be cleared.
+        // All rank threads are parked in the barrier, so no window can be
+        // allocated while a flushed window drains (Messages mode) under
+        // the epoch read lock. Then checkpoint every drained receiver.
         let inner = &self.inner;
-        let wins: Vec<Arc<WinDet>> = inner.wins.read().iter().cloned().collect();
-        for w in wins {
-            let all_flushed = w
-                .flushed
-                .iter()
-                .take(inner.nranks() as usize)
-                .all(|f| f.load(Ordering::Relaxed));
-            if !all_flushed {
-                continue;
-            }
-            // All rank threads are parked in the barrier; wait for any
-            // in-flight notifications (Messages mode), then clear.
-            let expected: u64 = {
-                let n = inner.nranks() as usize;
-                let mut per_target = vec![0u64; n];
-                for o in 0..n {
-                    for (t, v) in w.sent[o].lock().iter().enumerate() {
-                        per_target[t] += v;
-                    }
-                }
-                per_target.iter().sum()
-            };
-            let received: u64 = w.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-            if received >= expected || {
-                // brief drain for Messages mode
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    let r: u64 = w.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-                    if r >= expected || Instant::now() >= deadline || inner.cancelled() {
-                        break r >= expected;
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            } {
-                inner.clear_window(&w);
-            }
-        }
-        // All rank threads are parked in the barrier: checkpoint every
-        // drained receiver (no-op outside Messages mode).
+        inner.epoch.read().barrier_release(|win| inner.windet(win).drain(|| inner.cancelled()));
         for r in 0..inner.nranks() {
             self.checkpoint_recv_if_quiescent(RankId(r));
         }

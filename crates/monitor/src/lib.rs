@@ -11,13 +11,16 @@
 //! * [`Algorithm::FragmentOnly`] and [`Algorithm::FullHistory`] —
 //!   ablations.
 //!
-//! See [`RmaAnalyzer`] for the runtime protocol (notification messages,
-//! epoch-end reduction, flush+barrier clearing).
+//! The epoch protocol (which accesses reach which store, and when a
+//! store is cleared) is [`epoch`], shared with offline replay. See
+//! [`RmaAnalyzer`] for the live runtime around it (notification
+//! messages, epoch-end reduction, receiver recovery).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 mod analyzer;
+pub mod epoch;
 mod reduce;
 
 pub use analyzer::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};

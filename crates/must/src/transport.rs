@@ -267,6 +267,11 @@ impl Worker {
         let _ = self.tx.send(Msg::Stop);
     }
 
+    /// Has the worker been told to die (it may not have exited yet)?
+    pub fn killed(&self) -> bool {
+        self.die_now.load(Ordering::Acquire)
+    }
+
     /// Kills the worker abruptly and waits for the thread to be gone.
     pub fn kill(&mut self) {
         self.kill_async();
@@ -391,11 +396,19 @@ impl Supervisor {
     /// Quiescence wait with supervised recovery: on `WorkerDead` the
     /// supervisor restores the checkpoint, respawns and re-delivers,
     /// then waits again — until drained, out of budget, or timed out.
+    /// A killed worker is recovered even if it drained first, so no epoch
+    /// boundary closes on a dead worker; beyond the budget nothing
+    /// shipped was lost, so that wait still reports `Drained`.
     pub fn quiesce(&self) -> Quiescence {
         loop {
             let target = self.sent();
             match self.state.wait_processed(target) {
-                Quiescence::Drained => return Quiescence::Drained,
+                Quiescence::Drained => {
+                    let killed = self.inner.lock().worker.killed();
+                    if !killed || !self.try_recover() {
+                        return Quiescence::Drained;
+                    }
+                }
                 q @ Quiescence::WorkerDead { .. } => {
                     if !self.try_recover() {
                         return q;
@@ -469,9 +482,10 @@ impl Supervisor {
     /// Caller holds the journal lock, so no rank can ship or record a
     /// local while the analysis state is rolled back.
     fn recover_locked(&self, inner: &mut SupInner) -> bool {
-        if !self.state.worker_dead() {
+        if !self.state.worker_dead() && !inner.worker.killed() {
             return true; // another thread already recovered
         }
+        inner.worker.join_dead(); // a killed worker may still be exiting
         let spawned = self.respawns.load(Ordering::Relaxed);
         if spawned >= self.max_respawns {
             return false;
@@ -482,7 +496,6 @@ impl Supervisor {
         // under the journal lock on purpose — producers cannot usefully
         // proceed against a dead analysis anyway.
         std::thread::sleep(Duration::from_millis(1 << spawned.min(5)));
-        inner.worker.join_dead();
 
         // Roll the analysis back to the checkpoint. The worker is gone
         // and the journal lock blocks every other producer, so this is

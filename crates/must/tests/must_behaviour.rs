@@ -296,6 +296,42 @@ fn killed_worker_recovers_and_keeps_verdict() {
     assert!(!must.worker_failed());
 }
 
+/// A worker killed *after* it drained still counts as dead at the next
+/// quiescence: it is joined and respawned there, so no epoch boundary
+/// closes on a dead worker. The drain before the kill makes the order
+/// deterministic — the worker has analysed everything shipped, so the
+/// wait itself would report `Drained`.
+#[test]
+fn worker_killed_after_draining_is_respawned_at_quiescence() {
+    let cfg = MustCfg {
+        on_race: OnRace::Collect,
+        max_respawns: 3,
+        quiescence_deadline: Duration::from_secs(5),
+    };
+    let must = Arc::new(MustRma::with_cfg(2, cfg));
+    let m = must.clone();
+    let out = World::run(WorldCfg::with_ranks(2), must.clone(), move |ctx| {
+        let win = ctx.win_allocate(32);
+        let buf = ctx.alloc(8);
+        ctx.win_lock_all(win);
+        if ctx.rank() == RankId(0) {
+            ctx.get(&buf, 0, 8, RankId(1), 0, win);
+            let _ = ctx.load_u64(&buf, 0); // races with the async get
+            assert_eq!(m.completeness(), Completeness::Complete);
+            m.sabotage_worker_for_tests();
+            let (races, completeness) = m.races_checked();
+            assert_eq!(completeness, Completeness::Complete);
+            assert!(!races.is_empty(), "the race must survive recovery");
+            assert_eq!(m.respawns(), 1, "the drained-then-killed worker must be respawned");
+        }
+        ctx.win_unlock_all(win);
+        ctx.barrier();
+    });
+    assert!(out.is_clean(), "{out:?}");
+    assert_eq!(must.respawns(), 1);
+    assert!(!must.worker_failed());
+}
+
 /// Recovery reaches verdict equivalence on the *negative* side too: an
 /// ordered program stays race-free across a worker kill (restore+replay
 /// must not manufacture races — e.g. by re-processing a shipped

@@ -17,17 +17,17 @@
 //!
 //! ## Targets
 //!
-//! * [`StoreTarget`] re-enacts the RMA-Analyzer epoch protocol of
-//!   `rma-monitor` (per-(rank, window) stores, epoch-open gating,
-//!   unlock/fence clears, the flush_all+barrier rule of Section 6) over
-//!   *any* [`AccessStore`] factory — legacy BST, frag-merge, naive, or a
-//!   custom store.
+//! * [`StoreTarget`] drives the RMA-Analyzer epoch protocol,
+//!   [`rma_monitor::epoch`] — the same rules the live analyzer runs —
+//!   over *any* [`AccessStore`] factory: legacy BST, frag-merge, naive,
+//!   or a custom store.
 //! * [`MustTarget`] drives a real [`MustRma`] instance through its
 //!   monitor hooks, replaying the recorded hooks in a legal order.
 
 use crate::format::TraceEvent;
 use crate::trace::Trace;
 use rma_core::{AccessKind, AccessStore, MemAccess, RaceReport, RankId, StoreStats};
+use rma_monitor::epoch::{rma_halves, EpochState};
 use rma_monitor::Algorithm;
 use rma_must::MustRma;
 use rma_sim::{LocalEvent, Monitor, RmaEvent, WinId};
@@ -111,6 +111,23 @@ pub trait ReplayTarget {
     fn finish(self: Box<Self>, events: usize, complete: bool) -> ReplayOutcome;
 }
 
+/// The live hook event of `origin`'s recorded RMA `ev`.
+fn rma_event(origin: RankId, ev: &TraceEvent) -> RmaEvent {
+    let TraceEvent::Rma {
+        dir,
+        target,
+        win,
+        origin_interval,
+        target_interval,
+        origin_on_stack,
+        loc,
+    } = *ev
+    else {
+        unreachable!("not an RMA record: {ev:?}")
+    };
+    RmaEvent { dir, origin, target, win, origin_interval, target_interval, origin_on_stack, loc }
+}
+
 /// What a rank is parked on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Pending {
@@ -192,19 +209,12 @@ pub fn replay_trace(trace: &Trace, mut target: Box<dyn ReplayTarget + '_>) -> Re
 // Store-based target (RMA-Analyzer semantics, any AccessStore).
 // ---------------------------------------------------------------------
 
-struct WinState {
-    stores: Vec<Box<dyn AccessStore + Send>>,
-    epoch_open: Vec<bool>,
-    flushed: Vec<bool>,
-}
-
-/// Replays with the RMA-Analyzer epoch protocol over stores built by a
-/// factory — one store per (rank, window), exactly as `rma-monitor`
-/// allocates them live.
+/// Replays with the RMA-Analyzer epoch protocol ([`rma_monitor::epoch`],
+/// the rules the live analyzer runs) over stores built by a factory —
+/// one store per (rank, window).
 pub struct StoreTarget<F: FnMut() -> Box<dyn AccessStore + Send>> {
     factory: F,
-    nranks: usize,
-    wins: Vec<WinState>,
+    epoch: EpochState,
     races: Vec<RaceReport>,
     unsupported_flushes: u64,
 }
@@ -214,34 +224,22 @@ impl<F: FnMut() -> Box<dyn AccessStore + Send>> StoreTarget<F> {
     pub fn new(factory: F) -> Self {
         StoreTarget {
             factory,
-            nranks: 0,
-            wins: Vec::new(),
+            epoch: EpochState::new(0),
             races: Vec::new(),
             unsupported_flushes: 0,
         }
     }
 
-    fn ensure_win(&mut self, win: WinId) {
-        while self.wins.len() <= win.index() {
-            let stores = (0..self.nranks).map(|_| (self.factory)()).collect();
-            self.wins.push(WinState {
-                stores,
-                epoch_open: vec![false; self.nranks],
-                flushed: vec![false; self.nranks],
-            });
-        }
-    }
-
-    fn record(&mut self, win: usize, rank: usize, acc: MemAccess) {
-        if let Err(report) = self.wins[win].stores[rank].record(acc) {
-            self.races.push(*report);
-        }
+    /// The epoch state, with windows allocated up to `win`.
+    fn win(&mut self, win: WinId) -> &EpochState {
+        self.epoch.ensure_window(win, &mut self.factory);
+        &self.epoch
     }
 }
 
 impl<F: FnMut() -> Box<dyn AccessStore + Send>> ReplayTarget for StoreTarget<F> {
     fn start(&mut self, nranks: u32) {
-        self.nranks = nranks as usize;
+        self.epoch = EpochState::new(nranks);
     }
 
     fn event(&mut self, rank: RankId, ev: &TraceEvent) {
@@ -252,108 +250,46 @@ impl<F: FnMut() -> Box<dyn AccessStore + Send>> ReplayTarget for StoreTarget<F> 
                 }
                 let kind = if write { AccessKind::LocalWrite } else { AccessKind::LocalRead };
                 let acc = MemAccess::new(interval, kind, rank, loc);
-                // Live: recorded in every window the rank currently has
-                // an open epoch on.
-                for w in 0..self.wins.len() {
-                    if self.wins[w].epoch_open[rank.index()] {
-                        self.record(w, rank.index(), acc);
-                    }
-                }
+                let races = &mut self.races;
+                self.epoch.local(rank, acc, |_, verdict| races.extend(verdict.err().map(|r| *r)));
             }
-            TraceEvent::Rma {
-                dir,
-                target,
-                win,
-                origin_interval,
-                target_interval,
-                origin_on_stack,
-                loc,
-            } => {
-                self.ensure_win(win);
-                let w = win.index();
-                // Issuing a one-sided op invalidates an earlier flush.
-                self.wins[w].flushed[rank.index()] = false;
-                // Reconstruct both access halves the way the live
-                // monitor derives them from the event.
-                let ev = RmaEvent {
-                    dir,
-                    origin: rank,
-                    target,
-                    win,
-                    origin_interval,
-                    target_interval,
-                    origin_on_stack,
-                    loc,
-                };
-                let origin_acc =
-                    MemAccess::new(ev.origin_interval, ev.origin_kind(), rank, loc);
-                self.record(w, rank.index(), origin_acc);
-                let target_acc =
-                    MemAccess::new(ev.target_interval, ev.target_kind(), rank, loc);
-                self.record(w, target.index(), target_acc);
+            TraceEvent::Rma { target, win, .. } => {
+                let [origin_acc, target_acc] = rma_halves(&rma_event(rank, ev));
+                let origin = self.win(win).rma_origin(win, rank, origin_acc);
+                let target = self.epoch.rma_target(win, target, target_acc);
+                self.races.extend([origin, target].into_iter().filter_map(|v| v.err().map(|r| *r)));
             }
-            TraceEvent::WinAllocate { win, .. } => self.ensure_win(win),
-            TraceEvent::LockAll { win } => {
-                self.ensure_win(win);
-                self.wins[win.index()].epoch_open[rank.index()] = true;
+            TraceEvent::WinAllocate { win, .. } => {
+                self.win(win);
             }
-            TraceEvent::FlushAll { win } => {
-                self.ensure_win(win);
-                self.wins[win.index()].flushed[rank.index()] = true;
-            }
+            TraceEvent::LockAll { win } => self.win(win).open(win, rank),
+            TraceEvent::FlushAll { win } => self.win(win).flush_all(win, rank),
             TraceEvent::Flush { .. } => self.unsupported_flushes += 1,
-            TraceEvent::WinFree { .. } => {}
-            // Collectives arrive via `arrive`/`release`; Finish via
-            // `rank_finish`.
+            // WinFree is a no-op; collectives arrive via `arrive` and
+            // `release`, Finish via `rank_finish`.
             _ => {}
         }
     }
 
     fn arrive(&mut self, rank: RankId, ev: &TraceEvent) {
         if let TraceEvent::Fence { win } = *ev {
-            // Live on_fence: a fence opens an access epoch for the
-            // arriving rank before it parks.
-            self.ensure_win(win);
-            self.wins[win.index()].epoch_open[rank.index()] = true;
+            self.win(win).open(win, rank);
         }
     }
 
     fn release(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::UnlockAll { win } => {
-                // Live: each rank clears its own store once the epoch-end
-                // reduction proves all notifications landed; phase 2
-                // holds everyone until all clears are done. Offline that
-                // collapses to clearing every rank's store here.
-                self.ensure_win(win);
-                let ws = &mut self.wins[win.index()];
-                for r in 0..self.nranks {
-                    ws.stores[r].clear();
-                    ws.epoch_open[r] = false;
+                // Every rank is parked at the unlock, so every
+                // notification has landed: each rank's unlock_all.
+                let epoch = self.win(win);
+                for r in 0..epoch.nranks() {
+                    epoch.unlock_all(win, RankId(r));
                 }
             }
-            TraceEvent::Fence { win } => {
-                // Live on_fence_last: clear the window's stores (flushed
-                // flags survive a fence).
-                self.ensure_win(win);
-                for store in &mut self.wins[win.index()].stores {
-                    store.clear();
-                }
-            }
-            TraceEvent::Barrier => {
-                // Section 6 rule: flush_all on every rank + barrier
-                // synchronizes the epoch; clear and reset the flags.
-                for ws in &mut self.wins {
-                    if ws.flushed.iter().all(|&f| f) {
-                        for store in &mut ws.stores {
-                            store.clear();
-                        }
-                        for f in &mut ws.flushed {
-                            *f = false;
-                        }
-                    }
-                }
-            }
+            TraceEvent::Fence { win } => self.win(win).fence_release(win),
+            // Replay delivers every notification synchronously.
+            TraceEvent::Barrier => self.epoch.barrier_release(|_| true),
             _ => {}
         }
     }
@@ -361,15 +297,9 @@ impl<F: FnMut() -> Box<dyn AccessStore + Send>> ReplayTarget for StoreTarget<F> 
     fn rank_finish(&mut self, _rank: RankId) {}
 
     fn finish(self: Box<Self>, events: usize, complete: bool) -> ReplayOutcome {
-        let mut stats = StoreStats::default();
-        for ws in &self.wins {
-            for store in &ws.stores {
-                stats.absorb(&store.stats());
-            }
-        }
         ReplayOutcome {
             races: canonical_verdict(&self.races),
-            stats,
+            stats: Algorithm::aggregate_stats(self.epoch.window_stats().into_iter().flatten()),
             events,
             complete,
             unsupported_flushes: self.unsupported_flushes,
@@ -420,25 +350,8 @@ impl ReplayTarget for MustTarget {
                 let kind = if write { AccessKind::LocalWrite } else { AccessKind::LocalRead };
                 let _ = must.on_local(&LocalEvent { rank, interval, kind, on_stack, tracked, loc });
             }
-            TraceEvent::Rma {
-                dir,
-                target,
-                win,
-                origin_interval,
-                target_interval,
-                origin_on_stack,
-                loc,
-            } => {
-                let _ = must.on_rma(&RmaEvent {
-                    dir,
-                    origin: rank,
-                    target,
-                    win,
-                    origin_interval,
-                    target_interval,
-                    origin_on_stack,
-                    loc,
-                });
+            TraceEvent::Rma { .. } => {
+                let _ = must.on_rma(&rma_event(rank, ev));
             }
             TraceEvent::WinAllocate { win, base, len } => {
                 must.on_win_allocate(rank, win, base, len)

@@ -7,9 +7,9 @@
 //! decode) before being replayed, so the binary format is part of the
 //! proven path, not just the in-memory event stream.
 
-use rma_monitor::{AnalyzerCfg, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_must::MustRma;
-use rma_sim::Monitor;
+use rma_sim::{Monitor, RankCtx, RankId, World, WorldCfg};
 use rma_suite::{generate_suite, run_case_with_monitor, CaseSpec, SUITE_RANKS};
 use rma_trace::{canonical_verdict, replay, Detector, Trace, TraceWriter};
 use std::sync::Arc;
@@ -106,5 +106,55 @@ fn replay_confusion_matrix_matches_live_tools() {
                 replay_flagged
             );
         }
+    }
+}
+
+/// Three ranks, one lock_all epoch: P1 puts into P0[0,8); barrier; P0
+/// puts *from its own window bytes* [0,8) into P2[0,8); barrier; P1
+/// puts into P2[0,8). P0's put races twice: its origin half reads the
+/// bytes P1 wrote into P0, and its target half writes the P2 bytes P1
+/// writes later. Both halves of a racing operation are recorded, so
+/// both races are found — live under either delivery, and in replay.
+fn racy_halves_program(ctx: &mut RankCtx) {
+    let win = ctx.win_allocate(8);
+    let buf = ctx.alloc(8);
+    ctx.win_lock_all(win);
+    if ctx.rank() == RankId(1) {
+        ctx.put(&buf, 0, 8, RankId(0), 0, win);
+    }
+    ctx.barrier();
+    if ctx.rank() == RankId(0) {
+        let wb = ctx.win_buf(win);
+        ctx.put(&wb, 0, 8, RankId(2), 0, win);
+    }
+    ctx.barrier();
+    if ctx.rank() == RankId(1) {
+        ctx.put(&buf, 0, 8, RankId(2), 0, win);
+    }
+    ctx.win_unlock_all(win);
+}
+
+#[test]
+fn live_and_replay_record_both_halves_of_a_racing_rma() {
+    let writer = Arc::new(TraceWriter::new("racy_halves", 0x5EED));
+    let out = World::run(WorldCfg::with_ranks(3), writer.clone(), racy_halves_program);
+    assert!(out.is_clean(), "recording run not clean: {:?}", out.panics);
+    let trace = Trace::decode(&writer.trace().encode()).expect("container round-trip");
+    let offline = replay(&trace, Detector::FragMerge);
+    assert!(offline.complete);
+    assert_eq!(offline.races.len(), 2, "replay verdict: {:?}", offline.races);
+    for delivery in [Delivery::Direct, Delivery::Messages] {
+        let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
+            on_race: OnRace::Collect,
+            delivery,
+            ..AnalyzerCfg::default()
+        }));
+        let out = World::run(WorldCfg::with_ranks(3), analyzer.clone(), racy_halves_program);
+        assert!(out.is_clean(), "{delivery:?}: live run not clean: {:?}", out.panics);
+        assert_eq!(
+            canonical_verdict(&analyzer.races()),
+            offline.races,
+            "{delivery:?}: live and replay verdicts differ"
+        );
     }
 }
