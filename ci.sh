@@ -174,7 +174,9 @@ echo "==> flake sweep: thread-sensitive suites, 10 runs each, oversubscribed"
 # times under 8 test threads, every run under `timeout`; one failed or
 # wedged run fails CI, and nothing is skipped or retried.
 for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
-    rma-trace:replay_fidelity rma-suite:grid_equivalence; do
+    rma-trace:replay_fidelity rma-suite:grid_equivalence \
+    rma-served:service_replay rma-served:backpressure rma-served:overload \
+    rma-served:journal_redelivery rma-served:caller_runs; do
     PKG=${SUITE%%:*}
     TEST=${SUITE#*:}
     RUN=1

@@ -15,9 +15,10 @@
 //!
 //! The spool protocol is plain files, so clients need no IPC machinery:
 //! `submit` atomically drops `TENANT__NAME.rmatrc` into `DIR/inbox/`
-//! (write to `DIR/tmp/`, then rename — the daemon never sees a partial
-//! file); the daemon feeds each stream chunk-by-chunk through the
-//! service's bounded queues and atomically writes
+//! (write a dotted `.part` name there, then rename — the daemon never
+//! sees a partial file, and `DIR/tmp/` stays the daemon's); the daemon
+//! feeds each stream chunk-by-chunk through the service's bounded
+//! queues and atomically writes
 //! `DIR/outbox/TENANT__NAME.verdict` whose `verdict:` line is
 //! byte-comparable with `rma-trace replay` output. A `__shutdown__`
 //! sentinel in the inbox triggers the structured drain: every in-flight
@@ -236,7 +237,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
     let verdict_path = spool.verdict_path(&tenant, &name);
     let _ = std::fs::remove_file(&verdict_path);
     spool
-        .publish(&spool.inbox, &stream_file, &bytes, Durability::None)
+        .drop_stream(&tenant, &name, &bytes)
         .map_err(|e| format!("{stream_file}: {e}"))?;
     println!("submitted {file} as {tenant}/{name} ({} bytes)", bytes.len());
     if wait {
@@ -294,9 +295,7 @@ fn cmd_shutdown(args: &[String]) -> Result<ExitCode, String> {
     let spool = Spool::attach(Path::new(&spool_dir))?;
     let exit_path = spool.root.join("served.exit");
     let _ = std::fs::remove_file(&exit_path);
-    spool
-        .publish(&spool.inbox, "__shutdown__", b"", Durability::None)
-        .map_err(|e| format!("shutdown sentinel: {e}"))?;
+    spool.request_shutdown().map_err(|e| format!("shutdown sentinel: {e}"))?;
     if wait {
         loop {
             if let Ok(body) = std::fs::read_to_string(&exit_path) {

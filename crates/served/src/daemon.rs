@@ -20,7 +20,9 @@
 
 use crate::recovery::{recover, RecoveryStats};
 use crate::service::{ServeCfg, ServeError, Service, StreamHandle, Tier};
-use crate::spool::{error_body, parse_stream_stem, shed_body, verdict_body, Spool};
+use crate::spool::{
+    error_body, parse_stream_stem, shed_body, verdict_body, Spool, SHUTDOWN_SENTINEL,
+};
 use crate::stats::ServedStats;
 use crate::wal::{Durability, WalRecord, WalWriter};
 use crate::DrainOutcome;
@@ -109,7 +111,7 @@ pub fn run_daemon(spool: &Spool, cfg: &DaemonCfg) -> Result<DaemonExit, String> 
     let svc = Service::new(cfg.serve.clone());
     let mut feeders: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut pending: VecDeque<Pending> = VecDeque::new();
-    let sentinel = spool.inbox.join("__shutdown__");
+    let sentinel = spool.inbox.join(SHUTDOWN_SENTINEL);
     let mut busy_rounds: u64 = 0;
 
     'serve: loop {
@@ -496,5 +498,44 @@ fn publish_verdict(ctx: &FeederCtx, p: &Pending, body: &[u8], complete: bool) {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rma_substrate::fs::Fs;
+
+    /// Clients never stage in `tmp/`, which a restarting daemon's
+    /// recovery empties: a stream drop and a shutdown request both
+    /// succeed with `tmp/` gone, and the daemon then drains.
+    #[test]
+    fn client_drops_never_touch_tmp() {
+        let dir =
+            std::env::temp_dir().join(format!("rma-daemon-test-{}-no-tmp", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = Spool::create(&dir, Fs::real()).unwrap();
+        std::fs::remove_dir(&first.tmp).unwrap();
+        let client = Spool::attach(&dir).unwrap();
+        let bytes = std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/lo2_put_put_inwindow_target_race.rmatrc"
+        ))
+        .unwrap();
+        client.drop_stream("alpha", "put-race", &bytes).unwrap();
+        client.request_shutdown().unwrap();
+        assert!(!first.tmp.exists(), "a client recreated tmp/");
+
+        // The daemon's own open restores its staging directory.
+        let spool = Spool::create(&dir, Fs::real()).unwrap();
+        let cfg = DaemonCfg { poll: Duration::from_millis(1), ..Default::default() };
+        match run_daemon(&spool, &cfg).unwrap() {
+            DaemonExit::Drained { outcome: DrainOutcome::Drained { streams: 1 }, .. } => {}
+            other => panic!("daemon did not drain the dropped stream: {other:?}"),
+        }
+        let verdict = std::fs::read_to_string(spool.verdict_path("alpha", "put-race")).unwrap();
+        assert!(verdict.contains("\ntier: racy\n"), "{verdict}");
+        assert!(!spool.inbox.join(SHUTDOWN_SENTINEL).exists(), "sentinel not consumed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

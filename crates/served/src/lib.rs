@@ -20,6 +20,8 @@
 //! * **Fair scheduling** — submitted streams queue per tenant; the
 //!   shared worker pool round-robins across tenants, so one tenant
 //!   with a thousand pending streams cannot starve another with one.
+//!   A client finishing a stream no worker has claimed yet analyzes it
+//!   itself, in round-robin order and within the same `workers` bound.
 //! * **Supervised recovery per stream** — every consumed chunk is
 //!   journaled until the stream's verdict is out. A worker death
 //!   (injected deterministically via [`rma_sim::FaultKind::KillWorker`]

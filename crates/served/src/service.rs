@@ -7,7 +7,10 @@
 //! (blocking when the worker falls behind — that block is the credit
 //! mechanism) and calls [`StreamHandle::finish`] to close the stream
 //! and collect its [`StreamReport`]. Workers pull streams round-robin
-//! across tenants, decode incrementally with
+//! across tenants; a finishing client whose stream no worker has
+//! claimed yet analyzes it on its own thread, in the same slot and pick
+//! order a worker would have used. Either way the stream is decoded
+//! incrementally with
 //! [`rma_trace::StreamDecoder`], journal every consumed chunk until the
 //! verdict is out, and replay the decoded trace through the configured
 //! detector. A worker death (deterministic chaos via
@@ -125,7 +128,8 @@ pub struct ServeCfg {
     /// `algorithm` is overridden by `detector`; `delivery`/`batch_size`
     /// are live-capture knobs with no effect on offline replay.
     pub analyzer: AnalyzerCfg,
-    /// Worker threads in the shared pool (min 1).
+    /// Streams analyzed at once, by pool threads or by the finishing
+    /// client (min 1). The pool has this many threads.
     pub workers: usize,
     /// Per-stream chunk-queue bound — the backpressure credit count.
     pub queue_bound: usize,
@@ -306,6 +310,32 @@ struct Job {
 }
 
 impl Job {
+    /// A freshly admitted stream reading `rx`, to be killed `kills`
+    /// times once `kill_at` events have decoded.
+    fn new(
+        tenant: &str,
+        name: &str,
+        rx: Receiver<Vec<u8>>,
+        kills: u32,
+        kill_at: u64,
+        now_ms: u64,
+    ) -> Job {
+        Job {
+            tenant: tenant.to_string(),
+            name: name.to_string(),
+            wake: Mutex::new(Some(rx.clone())),
+            rx: Mutex::new(Some(rx)),
+            decoded: AtomicU64::new(0),
+            epochs: AtomicU64::new(0),
+            journal: Mutex::new(Vec::new()),
+            kills_left: Mutex::new(kills),
+            kill_at,
+            last_progress_ms: AtomicU64::new(now_ms),
+            timed_out: AtomicBool::new(false),
+            done: Mutex::new(None),
+        }
+    }
+
     /// Stores the decoder's live progress where the producer side can
     /// read it ([`StreamHandle::progress`]) and stamps the deadline
     /// clock.
@@ -329,11 +359,15 @@ impl Job {
     }
 }
 
-/// Scheduler state: per-tenant FIFO queues plus a rotation cursor.
+/// Scheduler state: per-tenant FIFO queues, a rotation cursor, and the
+/// analysis slots in use.
 struct Sched {
     queues: BTreeMap<String, VecDeque<Arc<Job>>>,
     /// Last tenant served; the next pick starts strictly after it.
     cursor: String,
+    /// Streams claimed (by a pool worker or a finishing client) whose
+    /// `supervise` has not returned. Never exceeds [`ServeCfg::workers`].
+    running: usize,
     /// Submitted streams without a verdict yet.
     live: Vec<Arc<Job>>,
     accepting: bool,
@@ -341,24 +375,57 @@ struct Sched {
 }
 
 impl Sched {
-    /// Round-robin pick: first non-empty tenant queue strictly after
-    /// the cursor, wrapping; pops the tenant's oldest stream.
-    fn take_next(&mut self) -> Option<Arc<Job>> {
-        let pick = self
-            .queues
-            .range::<String, _>((
-                std::ops::Bound::Excluded(self.cursor.clone()),
-                std::ops::Bound::Unbounded,
-            ))
-            .chain(self.queues.range::<String, _>((
-                std::ops::Bound::Unbounded,
-                std::ops::Bound::Included(self.cursor.clone()),
-            )))
+    fn new() -> Sched {
+        Sched {
+            queues: BTreeMap::new(),
+            cursor: String::new(),
+            running: 0,
+            live: Vec::new(),
+            accepting: true,
+            shutdown: false,
+        }
+    }
+
+    /// The tenant round-robin serves next: the first non-empty tenant
+    /// queue strictly after the cursor, wrapping.
+    fn next_tenant(&self) -> Option<&String> {
+        use std::ops::Bound::{Excluded, Included, Unbounded};
+        self.queues
+            .range::<String, _>((Excluded(&self.cursor), Unbounded))
+            .chain(self.queues.range::<String, _>((Unbounded, Included(&self.cursor))))
             .find(|(_, q)| !q.is_empty())
-            .map(|(t, _)| t.clone())?;
-        let job = self.queues.get_mut(&pick).and_then(VecDeque::pop_front);
+            .map(|(t, _)| t)
+    }
+
+    /// Claims the round-robin pick: pops the next tenant's oldest
+    /// stream and takes a slot, if fewer than `workers` are in use.
+    fn take_next(&mut self, workers: usize) -> Option<Arc<Job>> {
+        if self.running >= workers {
+            return None;
+        }
+        let pick = self.next_tenant()?.clone();
+        let job = self.queues.get_mut(&pick).and_then(VecDeque::pop_front)?;
         self.cursor = pick;
-        job
+        self.running += 1;
+        Some(job)
+    }
+
+    /// A finishing client's claim on its own stream: granted only when
+    /// the stream is still queued, a slot is free, and round-robin would
+    /// pick it next (its tenant is next and it is that tenant's front).
+    /// A granted claim is exactly the [`Sched::take_next`] a worker
+    /// would have made.
+    fn claim(&mut self, job: &Arc<Job>, workers: usize) -> bool {
+        let next = self.next_tenant().filter(|t| **t == job.tenant);
+        let front = next.and_then(|t| self.queues[t].front());
+        front.is_some_and(|j| Arc::ptr_eq(j, job)) && self.take_next(workers).is_some()
+    }
+
+    /// Returns a slot taken by [`Sched::take_next`]; `true` when streams
+    /// are still queued.
+    fn release(&mut self) -> bool {
+        self.running -= 1;
+        self.queues.values().any(|q| !q.is_empty())
     }
 }
 
@@ -430,13 +497,7 @@ impl Service {
         let inner = Arc::new(Inner {
             rcfg,
             gauge,
-            sched: Mutex::new(Sched {
-                queues: BTreeMap::new(),
-                cursor: String::new(),
-                live: Vec::new(),
-                accepting: true,
-                shutdown: false,
-            }),
+            sched: Mutex::new(Sched::new()),
             job_cv: Condvar::new(),
             stats: Mutex::new(StatsAcc { tenants: BTreeMap::new(), started: Instant::now() }),
             progress: AtomicU64::new(0),
@@ -473,20 +534,8 @@ impl Service {
             }
             _ => (0, u64::MAX),
         };
-        let job = Arc::new(Job {
-            tenant: tenant.to_string(),
-            name: stream.to_string(),
-            wake: Mutex::new(Some(rx.clone())),
-            rx: Mutex::new(Some(rx)),
-            decoded: AtomicU64::new(0),
-            epochs: AtomicU64::new(0),
-            journal: Mutex::new(Vec::new()),
-            kills_left: Mutex::new(kills),
-            kill_at,
-            last_progress_ms: AtomicU64::new(self.inner.cfg.clock.now_ms()),
-            timed_out: AtomicBool::new(false),
-            done: Mutex::new(None),
-        });
+        let now = self.inner.cfg.clock.now_ms();
+        let job = Arc::new(Job::new(tenant, stream, rx, kills, kill_at, now));
         {
             let mut sched = self.inner.sched.lock();
             if !sched.accepting {
@@ -673,8 +722,23 @@ impl StreamHandle {
 
     /// Closes the stream (end of input) and waits for its verdict,
     /// under the same progress watchdog as [`Service::drain`].
+    ///
+    /// If no worker has claimed the stream yet, and a slot is free, and
+    /// round-robin would pick it next, the caller analyzes it on its own
+    /// thread instead of waiting for a worker to wake. That run is the
+    /// caller's own work and runs without the watchdog; kills,
+    /// redelivery, quarantine and deadline eviction behave as on a
+    /// worker.
     pub fn finish(self) -> Result<StreamReport, ServeError> {
         drop(self.tx); // disconnect = end-of-stream marker
+        let workers = self.inner.cfg.workers.max(1);
+        if self.inner.sched.lock().claim(&self.job, workers) {
+            supervise(&self.inner, &self.job);
+            if self.inner.sched.lock().release() {
+                // A worker may be parked on the slot just returned.
+                self.inner.job_cv.notify_one();
+            }
+        }
         let watchdog = Duration::from_millis(self.inner.cfg.watchdog_ms.max(1));
         let mut last = self.inner.progress.load(Ordering::SeqCst);
         let mut stalled_since = Instant::now();
@@ -722,20 +786,21 @@ enum Attempt {
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
+    let workers = inner.cfg.workers.max(1);
+    let mut sched = inner.sched.lock();
     loop {
-        let job = {
-            let mut sched = inner.sched.lock();
-            loop {
-                if sched.shutdown {
-                    return;
-                }
-                if let Some(job) = sched.take_next() {
-                    break job;
-                }
-                inner.job_cv.wait(&mut sched);
+        if sched.shutdown {
+            return;
+        }
+        match sched.take_next(workers) {
+            Some(job) => {
+                drop(sched);
+                supervise(inner, &job);
+                sched = inner.sched.lock();
+                sched.release();
             }
-        };
-        supervise(inner, &job);
+            None => inner.job_cv.wait(&mut sched),
+        }
     }
 }
 
@@ -1186,4 +1251,75 @@ fn fold_queue_accounting(inner: &Inner, job: &Job, rx: &Receiver<Vec<u8>>) {
     let t = acc.tenants.entry(job.tenant.clone()).or_default();
     t.peak_queue_depth = t.peak_queue_depth.max(rx.peak_len());
     t.blocked_sends += rx.blocked_sends();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(tenant: &str, name: &str) -> Arc<Job> {
+        let (_tx, rx) = bounded(1);
+        Arc::new(Job::new(tenant, name, rx, 0, u64::MAX, 0))
+    }
+
+    fn queued(jobs: &[&Arc<Job>]) -> Sched {
+        let mut sched = Sched::new();
+        for job in jobs {
+            sched.queues.entry(job.tenant.clone()).or_default().push_back(Arc::clone(job));
+        }
+        sched
+    }
+
+    #[test]
+    fn claim_refuses_a_stream_already_claimed() {
+        let a = job("a", "s0");
+        let mut sched = queued(&[&a]);
+        assert!(Arc::ptr_eq(&sched.take_next(2).unwrap(), &a));
+        assert!(!sched.claim(&a, 2));
+        assert_eq!(sched.running, 1);
+    }
+
+    #[test]
+    fn claim_refuses_when_every_slot_is_in_use() {
+        let a = job("a", "s0");
+        let mut sched = queued(&[&a]);
+        sched.running = 2;
+        assert!(!sched.claim(&a, 2));
+        assert_eq!(sched.queues["a"].len(), 1, "the stream stays queued");
+        assert_eq!(sched.running, 2);
+    }
+
+    #[test]
+    fn claim_refuses_out_of_round_robin_turn() {
+        let (a, b) = (job("a", "s0"), job("b", "s0"));
+        let mut sched = queued(&[&a, &b]);
+        // The cursor starts before "a", so "a" is next, not "b".
+        assert!(!sched.claim(&b, 2));
+        assert_eq!(sched.running, 0);
+        assert!(Arc::ptr_eq(&sched.take_next(2).unwrap(), &a));
+        assert!(sched.claim(&b, 2), "after serving a, it is b's turn");
+    }
+
+    #[test]
+    fn claim_refuses_a_stream_behind_its_tenants_front() {
+        let (first, second) = (job("a", "s0"), job("a", "s1"));
+        let mut sched = queued(&[&first, &second]);
+        assert!(!sched.claim(&second, 2));
+        assert_eq!(sched.queues["a"].len(), 2);
+        assert_eq!(sched.running, 0);
+    }
+
+    #[test]
+    fn claim_pops_advances_the_cursor_and_takes_a_slot() {
+        let (a, b) = (job("a", "s0"), job("b", "s0"));
+        let mut sched = queued(&[&a, &b]);
+        assert!(sched.claim(&a, 1));
+        assert!(sched.queues["a"].is_empty());
+        assert_eq!(sched.cursor, "a");
+        assert_eq!(sched.running, 1);
+        assert!(sched.take_next(1).is_none(), "the one slot is the client's");
+        assert!(sched.release(), "b is still queued");
+        assert!(Arc::ptr_eq(&sched.take_next(1).unwrap(), &b));
+        assert!(!sched.release());
+    }
 }

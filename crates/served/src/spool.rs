@@ -2,19 +2,25 @@
 //! rendering.
 //!
 //! ```text
-//! DIR/inbox/TENANT__NAME.rmatrc   client → daemon (atomic rename in)
+//! DIR/inbox/TENANT__NAME.rmatrc   client → daemon (staged as
+//!                                 `.TENANT__NAME.rmatrc.part`, then
+//!                                 renamed in place)
+//! DIR/inbox/__shutdown__          client → daemon: drain and exit
 //! DIR/work/TENANT__NAME.rmatrc    admitted stream bytes (ground truth
 //!                                 for crash recovery)
 //! DIR/wal/TENANT__NAME.wal        per-stream progress WAL
 //! DIR/outbox/TENANT__NAME.verdict daemon → client
-//! DIR/tmp/                        staging for every atomic publish
+//! DIR/tmp/                        staging for the daemon's atomic
+//!                                 publishes (the daemon's alone)
 //! DIR/quarantine/TENANT__NAME.rmatrc
 //!                                 bytes of poison streams, parked for
 //!                                 offline replay (never re-analyzed)
 //! ```
 //!
-//! Every cross-directory move is write-to-`tmp/`-then-rename, so no
-//! reader (daemon or client) ever observes a partial file, and every
+//! Every daemon publish is write-to-`tmp/`-then-rename and every client
+//! drop is write-then-rename inside `inbox/`, so no reader (daemon or
+//! client) ever observes a partial file. Clients never touch `tmp/`:
+//! a restarting daemon's recovery empties it. Every
 //! file operation goes through the fault-injectable
 //! [`rma_substrate::fs::Fs`] handle so crash-restart tests can kill the
 //! daemon at any write boundary. Publishes read the staged bytes back
@@ -28,6 +34,9 @@ use crate::wal::Durability;
 use rma_substrate::fs::Fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// The file in `inbox/` that asks the daemon to drain and exit.
+pub const SHUTDOWN_SENTINEL: &str = "__shutdown__";
 
 /// What [`Spool::publish_idempotent`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,6 +185,23 @@ impl Spool {
         }
         self.publish(dir, name, bytes, durability)?;
         Ok(PublishOutcome::Written)
+    }
+
+    /// Client-side stream drop: writes `bytes` into `inbox/` under a
+    /// dotted `.part` name the daemon never claims, then renames it to
+    /// the stream's file, so the daemon sees all of it or nothing.
+    pub fn drop_stream(&self, tenant: &str, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let file = Spool::stream_file(tenant, name, "rmatrc");
+        let part = self.inbox.join(format!(".{file}.part"));
+        self.fs.write(&part, bytes)?;
+        self.fs.rename(&part, &self.inbox.join(file))
+    }
+
+    /// Client-side shutdown request: creates the empty
+    /// [`SHUTDOWN_SENTINEL`] directly in `inbox/`. Its presence is the
+    /// whole message, so there is nothing to stage.
+    pub fn request_shutdown(&self) -> io::Result<()> {
+        self.fs.write(&self.inbox.join(SHUTDOWN_SENTINEL), b"")
     }
 
     /// Removes every file in `tmp/` — debris from publishes a crash

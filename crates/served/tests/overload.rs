@@ -243,20 +243,24 @@ fn progress_resets_the_deadline() {
     let recs = recordings();
     let rec = &recs[0];
     let clock = Clock::manual(0);
+    // A queue of one: each `feed` returns only after the previous chunk
+    // was popped, so at most three advances separate two completed
+    // progress stamps (each consumed chunk re-stamps the clock).
     let svc = Service::new(ServeCfg {
         workers: 1,
+        queue_bound: 1,
         clock: clock.clone(),
         stream_deadline: Some(100),
         ..Default::default()
     });
     let h = svc.submit("steady", &rec.name).unwrap();
-    for piece in rec.bytes.chunks(128) {
+    let pieces = rec.bytes.chunks(32);
+    let bytes = rec.bytes.len();
+    assert!(pieces.len() * 30 > 100, "{bytes} bytes: the advances must sum past the deadline");
+    for piece in pieces {
         h.feed(piece).unwrap();
-        // Give the worker real time to consume (each consumed chunk
-        // re-stamps the progress clock), then advance well under the
-        // deadline — but far enough that the advances *sum* past it.
-        std::thread::sleep(Duration::from_millis(50));
-        clock.advance(40);
+        // Three advances stay under the deadline: 3 × 30 < 100.
+        clock.advance(30);
     }
     let rep = h.finish().unwrap();
     assert_ne!(rep.tier, Tier::Timeout, "steady progress must never time out");

@@ -486,9 +486,12 @@ fn cmd_pump(args: &[String]) -> Result<ExitCode, String> {
     let stream_file = format!("{tenant}__{name}.rmatrc");
     let verdict_path = spool.join("outbox").join(format!("{tenant}__{name}.verdict"));
     let _ = std::fs::remove_file(&verdict_path);
-    let tmp = spool.join("tmp").join(&stream_file);
-    std::fs::write(&tmp, &bytes).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, inbox.join(&stream_file))
+    // Staged in inbox/ under a dotted `.part` name the daemon never
+    // claims, as `Spool::drop_stream` does: tmp/ is the daemon's, and
+    // its startup recovery empties it.
+    let part = inbox.join(format!(".{stream_file}.part"));
+    std::fs::write(&part, &bytes).map_err(|e| format!("{}: {e}", part.display()))?;
+    std::fs::rename(&part, inbox.join(&stream_file))
         .map_err(|e| format!("{}: {e}", inbox.display()))?;
     println!("pumped {tenant}/{name} ({} bytes)", bytes.len());
     if wait {
