@@ -176,7 +176,8 @@ echo "==> flake sweep: thread-sensitive suites, 10 runs each, oversubscribed"
 for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
     rma-trace:replay_fidelity rma-suite:grid_equivalence \
     rma-served:service_replay rma-served:backpressure rma-served:overload \
-    rma-served:journal_redelivery rma-served:caller_runs; do
+    rma-served:journal_redelivery rma-served:caller_runs rma-served:dispatch \
+    rma-served:durability; do
     PKG=${SUITE%%:*}
     TEST=${SUITE#*:}
     RUN=1

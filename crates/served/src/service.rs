@@ -9,8 +9,11 @@
 //! and collect its [`StreamReport`]. Workers pull streams round-robin
 //! across tenants; a finishing client whose stream no worker has
 //! claimed yet analyzes it on its own thread, in the same slot and pick
-//! order a worker would have used. Either way the stream is decoded
-//! incrementally with
+//! order a worker would have used. Workers are woken on demand, never
+//! by admission: by a client that cannot go on alone (its queue is
+//! full, its claim was refused, it abandoned its handle), by
+//! [`Service::drain`], and by a worker that leaves streams queued with
+//! a slot free. Either way the stream is decoded incrementally with
 //! [`rma_trace::StreamDecoder`], journal every consumed chunk until the
 //! verdict is out, and replay the decoded trace through the configured
 //! detector. A worker death (deterministic chaos via
@@ -129,7 +132,10 @@ pub struct ServeCfg {
     /// are live-capture knobs with no effect on offline replay.
     pub analyzer: AnalyzerCfg,
     /// Streams analyzed at once, by pool threads or by the finishing
-    /// client (min 1). The pool has this many threads.
+    /// client (min 1). The pool has this many threads; they park until
+    /// a stream needs one (a producer's queue fills, a finishing
+    /// client's claim is refused, a handle is dropped unfinished, or
+    /// [`Service::drain`] finds streams queued).
     pub workers: usize,
     /// Per-stream chunk-queue bound — the backpressure credit count.
     pub queue_bound: usize,
@@ -298,9 +304,11 @@ struct Job {
     kills_left: Mutex<u32>,
     /// Decoded-event threshold for the next kill.
     kill_at: u64,
-    /// Clock time ([`ServeCfg::clock`]) of admission or of the last
-    /// consumed chunk — what the deadline monitor measures staleness
-    /// against.
+    /// Clock time ([`ServeCfg::clock`]) of admission, of the last chunk
+    /// the client enqueued, or of the last chunk consumed, whichever is
+    /// latest — what the deadline monitor measures staleness against.
+    /// An accepted chunk counts as progress: a queued stream has no
+    /// consumer until its client needs one.
     last_progress_ms: AtomicU64,
     /// Set (once) by the deadline monitor; workers treat it as a
     /// per-stream cancellation and the stream reports [`Tier::Timeout`].
@@ -336,13 +344,20 @@ impl Job {
         }
     }
 
-    /// Stores the decoder's live progress where the producer side can
-    /// read it ([`StreamHandle::progress`]) and stamps the deadline
-    /// clock.
+    /// Stamps the deadline clock and stores the decoder's live progress
+    /// where the producer side can read it ([`StreamHandle::progress`]).
+    /// Stamp first: a reader that sees the new counts sees the stamp.
     fn publish_progress(&self, dec: &StreamDecoder, clock: &Clock) {
+        self.stamp(clock);
         self.decoded.store(dec.decoded_events() as u64, Ordering::SeqCst);
         self.epochs.store(dec.epoch_marks() as u64, Ordering::SeqCst);
-        self.last_progress_ms.store(clock.now_ms(), Ordering::SeqCst);
+    }
+
+    /// Stamps the deadline clock. `fetch_max`, because the producer
+    /// (enqueue) and the consumer both stamp, and a stale stamp landing
+    /// late must not move the deadline back.
+    fn stamp(&self, clock: &Clock) {
+        self.last_progress_ms.fetch_max(clock.now_ms(), Ordering::SeqCst);
     }
 
     /// Consumes one chaos kill if this point qualifies.
@@ -427,6 +442,12 @@ impl Sched {
         self.running -= 1;
         self.queues.values().any(|q| !q.is_empty())
     }
+
+    /// A stream is queued and a slot is free: waking a parked worker
+    /// now gets a stream analyzed.
+    fn wants_worker(&self, workers: usize) -> bool {
+        self.running < workers && self.queues.values().any(|q| !q.is_empty())
+    }
 }
 
 struct StatsAcc {
@@ -442,7 +463,8 @@ struct Inner {
     /// [`ServeCfg::memory_budget`] is set.
     gauge: Option<MemGauge>,
     sched: Mutex<Sched>,
-    /// Workers park here waiting for jobs.
+    /// Workers park here waiting for jobs. Notified only on demand
+    /// (DESIGN.md §13.2): never by `submit`.
     job_cv: Condvar,
     stats: Mutex<StatsAcc>,
     /// Monotone pool-progress counter (chunks consumed, verdicts
@@ -485,7 +507,8 @@ pub struct Service {
 pub struct StreamHandle {
     inner: Arc<Inner>,
     job: Arc<Job>,
-    tx: Sender<Vec<u8>>,
+    /// `None` once [`StreamHandle::finish`] has closed the stream.
+    tx: Option<Sender<Vec<u8>>>,
 }
 
 impl Service {
@@ -523,7 +546,9 @@ impl Service {
 
     /// Admits a stream for `tenant`. The returned handle's queue holds
     /// at most [`ServeCfg::queue_bound`] chunks — feeding past that
-    /// blocks until the worker catches up.
+    /// blocks until the worker catches up. Admission wakes no worker:
+    /// the stream waits queued until its client finishes it (and
+    /// usually analyzes it itself) or needs a worker.
     pub fn submit(&self, tenant: &str, stream: &str) -> Result<StreamHandle, ServeError> {
         let (tx, rx) = bounded(self.inner.cfg.queue_bound);
         let (kills, kill_at) = match &self.inner.cfg.chaos {
@@ -557,8 +582,7 @@ impl Service {
             t.peak_live = t.peak_live.max(live_now);
         }
         self.inner.active.fetch_add(1, Ordering::SeqCst);
-        self.inner.job_cv.notify_one();
-        Ok(StreamHandle { inner: self.inner.clone(), job, tx })
+        Ok(StreamHandle { inner: self.inner.clone(), job, tx: Some(tx) })
     }
 
     /// Streams `tenant` currently holds in flight — what the quota
@@ -600,7 +624,14 @@ impl Service {
     /// no verdict produced) for a whole [`ServeCfg::watchdog_ms`]
     /// window is reported as [`DrainOutcome::Wedged`] with the stuck
     /// streams — never a hang.
+    ///
+    /// Streams still queued get the pool woken for them: their clients
+    /// may be feeding slowly, and only a worker's progress keeps the
+    /// watchdog from calling that a wedge.
     pub fn drain(&self) -> DrainOutcome {
+        if self.inner.sched.lock().wants_worker(self.inner.cfg.workers.max(1)) {
+            self.inner.job_cv.notify_all();
+        }
         let watchdog = Duration::from_millis(self.inner.cfg.watchdog_ms.max(1));
         let mut last = self.inner.progress.load(Ordering::SeqCst);
         let mut stalled_since = Instant::now();
@@ -692,30 +723,51 @@ impl Drop for Service {
 }
 
 impl StreamHandle {
+    /// The open stream's sender; only [`StreamHandle::finish`] and the
+    /// drop take it.
+    fn tx(&self) -> &Sender<Vec<u8>> {
+        self.tx.as_ref().expect("the stream is open until finish")
+    }
+
     /// Feeds the next chunk of trace bytes, blocking while the stream's
-    /// bounded queue is full (backpressure). Fails once the service is
-    /// tearing down.
+    /// bounded queue is full (backpressure). A full queue that no worker
+    /// has claimed yet wakes one before the producer parks: that is
+    /// what summons a worker for a stream larger than its queue. An
+    /// enqueued chunk counts as progress for
+    /// [`ServeCfg::stream_deadline`]. Fails once the service is tearing
+    /// down.
     pub fn feed(&self, chunk: impl Into<Vec<u8>>) -> Result<(), ServeError> {
-        self.tx.send(chunk.into()).map_err(|_| ServeError::Rejected)
+        self.tx().send_with(chunk.into(), || {
+            // `rx` is taken by whoever supervises the stream (or by its
+            // eviction); while it is here, no worker will pop this queue.
+            if self.job.rx.lock().is_some() {
+                self.inner.job_cv.notify_one();
+            }
+        })
+        .map_err(|_| ServeError::Rejected)?;
+        self.job.stamp(&self.inner.cfg.clock);
+        Ok(())
     }
 
     /// Chunks the producer had to wait (or would have waited) to
     /// enqueue — the blocked-producer accounting backpressure tests
     /// assert on.
     pub fn blocked_sends(&self) -> u64 {
-        self.tx.blocked_sends()
+        self.tx().blocked_sends()
     }
 
     /// Deepest this stream's queue ever got (never exceeds the bound).
     pub fn queue_peak(&self) -> usize {
-        self.tx.peak_len()
+        self.tx().peak_len()
     }
 
     /// Live `(events decoded, epoch boundaries decoded)` for this
     /// stream — the worker publishes after every chunk it decodes. The
     /// values lag the bytes the producer has *queued* (only consumed
     /// chunks count) and are monotone; the daemon keys its durability
-    /// epoch checkpoints on the second component.
+    /// epoch checkpoints on the second component. Nothing consumes a
+    /// stream before it is claimed, so this stays `(0, 0)` until the
+    /// queue fills or [`StreamHandle::finish`] is called.
     pub fn progress(&self) -> (u64, u64) {
         (self.job.decoded.load(Ordering::SeqCst), self.job.epochs.load(Ordering::SeqCst))
     }
@@ -729,10 +781,21 @@ impl StreamHandle {
     /// caller's own work and runs without the watchdog; kills,
     /// redelivery, quarantine and deadline eviction behave as on a
     /// worker.
-    pub fn finish(self) -> Result<StreamReport, ServeError> {
-        drop(self.tx); // disconnect = end-of-stream marker
+    ///
+    /// A refused claim with a slot free wakes one worker: the stream
+    /// round-robin serves first needs one.
+    pub fn finish(mut self) -> Result<StreamReport, ServeError> {
+        drop(self.tx.take()); // disconnect = end-of-stream marker
         let workers = self.inner.cfg.workers.max(1);
-        if self.inner.sched.lock().claim(&self.job, workers) {
+        let (claimed, summon) = {
+            let mut sched = self.inner.sched.lock();
+            let claimed = sched.claim(&self.job, workers);
+            (claimed, !claimed && sched.wants_worker(workers))
+        };
+        if summon {
+            self.inner.job_cv.notify_one();
+        }
+        if claimed {
             supervise(&self.inner, &self.job);
             if self.inner.sched.lock().release() {
                 // A worker may be parked on the slot just returned.
@@ -768,6 +831,19 @@ impl StreamHandle {
     }
 }
 
+impl Drop for StreamHandle {
+    /// A handle dropped without [`StreamHandle::finish`] leaves its
+    /// stream to the pool: the sender's drop closes it, and one worker
+    /// is woken while a stream is queued and a slot is free.
+    fn drop(&mut self) {
+        if self.tx.take().is_some()
+            && self.inner.sched.lock().wants_worker(self.inner.cfg.workers.max(1))
+        {
+            self.inner.job_cv.notify_one();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Worker side.
 // ---------------------------------------------------------------------
@@ -794,7 +870,14 @@ fn worker_loop(inner: &Arc<Inner>) {
         }
         match sched.take_next(workers) {
             Some(job) => {
+                // Chain wake: streams still queued with a slot free get
+                // the next worker, so N queued streams still find up to
+                // `workers` consumers.
+                let more = sched.wants_worker(workers);
                 drop(sched);
+                if more {
+                    inner.job_cv.notify_one();
+                }
                 supervise(inner, &job);
                 sched = inner.sched.lock();
                 sched.release();

@@ -1,7 +1,7 @@
 //! Closed-loop single-client serving, where the finishing client
-//! analyzes most of its own streams: a small stream is fed and closed
-//! before any pool worker wakes, so `finish` finds it unclaimed and runs
-//! it on the caller's thread. Verdicts, chaos kills, quarantine and
+//! analyzes its own streams: a small stream fits its queue, so no pool
+//! worker is summoned, and `finish` finds it unclaimed and runs it on
+//! the caller's thread. Verdicts, chaos kills, quarantine and
 //! deadline eviction must come out exactly as on a pool worker, and the
 //! `workers` bound must hold for both kinds of claimant.
 
@@ -128,12 +128,19 @@ fn a_poison_stream_quarantines() {
 }
 
 /// Submits `rec` under tenant "t" and feeds all of it but the last
-/// byte, then waits until a pool worker has decoded that chunk. The
+/// byte, then waits until a pool worker has decoded that prefix. The
 /// worker then holds the stream, parked on its empty queue with nothing
 /// in flight, and keeps its slot until the stream is finished.
+///
+/// The service must have `queue_bound: 1`: the prefix goes in two
+/// chunks, and the second finds the queue full, which is what summons
+/// the worker (no worker wakes for a stream that fits its queue). The
+/// first chunk is one byte, which decodes no event, so decoded events
+/// mean the worker has consumed both.
 fn hold_a_slot(svc: &Service, rec: &CaseRec) -> StreamHandle {
     let held = svc.submit("t", "held").unwrap();
-    held.feed(&rec.bytes[..rec.bytes.len() - 1]).unwrap();
+    held.feed(&rec.bytes[..1]).unwrap();
+    held.feed(&rec.bytes[1..rec.bytes.len() - 1]).unwrap();
     let patience = Instant::now() + Duration::from_secs(10);
     while held.progress().0 == 0 {
         assert!(Instant::now() < patience, "no worker picked the held stream up");
@@ -150,7 +157,12 @@ fn hold_a_slot(svc: &Service, rec: &CaseRec) -> StreamHandle {
 fn a_finishing_client_never_exceeds_the_workers_bound() {
     let recs = recordings();
     let rec = &recs[0];
-    let svc = Service::new(ServeCfg { workers: 1, watchdog_ms: 200, ..Default::default() });
+    let svc = Service::new(ServeCfg {
+        workers: 1,
+        queue_bound: 1,
+        watchdog_ms: 200,
+        ..Default::default()
+    });
     let held = hold_a_slot(&svc, rec);
     let waiting = svc.submit("q", "waiting").unwrap();
     waiting.feed(rec.bytes.clone()).unwrap();
@@ -174,6 +186,7 @@ fn a_queued_stream_evicted_by_the_deadline_reports_timeout() {
     let clock = Clock::manual(0);
     let svc = Service::new(ServeCfg {
         workers: 1,
+        queue_bound: 1,
         clock: clock.clone(),
         stream_deadline: Some(100),
         watchdog_ms: 30_000,

@@ -209,9 +209,10 @@ fn deadline_evicts_the_stuck_stream_and_spares_bystanders() {
     assert_eq!(shared_rep.verdict, solo_rep.verdict, "bystander verdict changed");
     assert_eq!(shared_rep.tier, solo_rep.tier);
 
-    // One tick short of the deadline: nothing evicted yet.
+    // One tick short of the deadline: nothing evicted yet. The monitor
+    // re-parking having seen 499 means its check at 499 has run.
     clock.advance(499);
-    std::thread::sleep(Duration::from_millis(30));
+    assert!(clock.wait_parked(1, Duration::from_secs(10)), "deadline monitor never re-parked");
     let timeouts =
         |svc: &Service| svc.stats().tenants.get("victim").map_or(0, |t| t.tiers[Tier::Timeout.idx()]);
     assert_eq!(timeouts(&svc), 0, "evicted before the deadline");

@@ -9,7 +9,8 @@
 //!   producer that outruns its consumer parks until a slot (credit)
 //!   frees, so queue memory can never exceed `cap × message size`.
 //!   [`Sender::try_send`] and [`Sender::send_timeout`] offer
-//!   non-blocking / deadline-bounded admission, and the channel counts
+//!   non-blocking / deadline-bounded admission, [`Sender::send_with`]
+//!   runs a hook before it parks on a full queue, and the channel counts
 //!   how often producers had to wait ([`Sender::blocked_sends`]) and
 //!   the deepest the queue ever got ([`Sender::peak_len`]) for
 //!   backpressure telemetry.
@@ -174,18 +175,30 @@ impl<T> Sender<T> {
     /// value) when every receiver has been dropped — including while
     /// parked on a full queue.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+        self.send_with(value, || {})
+    }
+
+    /// Like [`send`](Self::send), but a send that finds a bounded queue
+    /// full first calls `before_park` (once, outside the channel lock)
+    /// and only then parks — the hook a producer uses to summon a
+    /// consumer on demand. The send counts once in
+    /// [`blocked_sends`](Self::blocked_sends), as with `send`.
+    pub fn send_with(&self, value: T, before_park: impl FnOnce()) -> Result<(), SendError<T>> {
         let mut st = self.chan.state.lock();
-        if st.receivers == 0 {
-            return Err(SendError(value));
-        }
-        if st.full() {
+        if st.full() && st.receivers > 0 {
             st.blocked_sends += 1;
-            while st.full() {
-                self.chan.cv_send.wait(&mut st);
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
+            drop(st);
+            before_park();
+            st = self.chan.state.lock();
+        }
+        loop {
+            if st.receivers == 0 {
+                return Err(SendError(value));
             }
+            if !st.full() {
+                break;
+            }
+            self.chan.cv_send.wait(&mut st);
         }
         st.push(value);
         drop(st);
@@ -572,6 +585,31 @@ mod tests {
         waker_rx.wake_all();
         assert_eq!(waiter.join().unwrap(), Err(RecvCancelError::Cancelled));
         drop(tx);
+    }
+
+    #[test]
+    fn send_with_calls_its_hook_once_before_parking_and_counts_once() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let (tx, rx) = bounded::<u8>(1);
+        let calls = AtomicU32::new(0);
+        tx.send_with(1, || panic!("a queue with room never parks")).unwrap();
+        assert_eq!(tx.blocked_sends(), 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                tx.send_with(2, || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    // The hook runs outside the lock: the consumer it
+                    // summons can pop right here.
+                    assert_eq!(rx.recv(), Ok(1));
+                })
+                .unwrap()
+            });
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(tx.blocked_sends(), 1, "one full send, one count");
+        assert_eq!(rx.recv(), Ok(2));
+        drop(rx);
+        assert_eq!(tx.send_with(3, || panic!("no receiver to summon")), Err(SendError(3)));
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! Cancellation is cooperative: [`Clock::wait_until`] re-checks a
 //! caller-supplied predicate on every wake, and [`Clock::kick`] wakes
 //! all waiters so a shutdown flag flipped elsewhere gets observed.
+//!
+//! A test that advances a manual clock can also wait for its effect
+//! instead of sleeping: [`Clock::wait_parked`] returns once a given
+//! number of waiters have re-parked having seen the current time, i.e.
+//! once every deadline check the advance triggered has run.
 
 use crate::sync::{Condvar, Mutex};
 use std::sync::Arc;
@@ -36,10 +41,35 @@ enum Mode {
 
 struct ClockInner {
     mode: Mode,
-    /// Virtual now (manual mode); doubles as the condvar's mutex in
-    /// real mode, where its value is unused.
-    now_ms: Mutex<u64>,
+    /// Virtual time and its waiters; doubles as the condvar's mutex in
+    /// real mode, where its values are unused.
+    state: Mutex<Tick>,
     cv: Condvar,
+    /// Signalled whenever a manual-mode waiter parks
+    /// ([`Clock::wait_parked`]).
+    parked_cv: Condvar,
+}
+
+struct Tick {
+    /// Virtual now (manual mode).
+    now_ms: u64,
+    /// Manual-mode waiters parked since time last moved, i.e. having
+    /// seen the current `now_ms`.
+    parked: usize,
+    /// Bumped by every `advance`, which resets `parked`: a waiter that
+    /// parked in an older generation is no longer counted.
+    generation: u64,
+}
+
+impl ClockInner {
+    fn new(mode: Mode, start_ms: u64) -> Arc<ClockInner> {
+        Arc::new(ClockInner {
+            mode,
+            state: Mutex::new(Tick { now_ms: start_ms, parked: 0, generation: 0 }),
+            cv: Condvar::new(),
+            parked_cv: Condvar::new(),
+        })
+    }
 }
 
 /// Shared clock handle. Clones observe the same time; see the module
@@ -67,25 +97,13 @@ impl Default for Clock {
 impl Clock {
     /// Wall clock: milliseconds since this call.
     pub fn real() -> Clock {
-        Clock {
-            inner: Arc::new(ClockInner {
-                mode: Mode::Real { epoch: Instant::now() },
-                now_ms: Mutex::new(0),
-                cv: Condvar::new(),
-            }),
-        }
+        Clock { inner: ClockInner::new(Mode::Real { epoch: Instant::now() }, 0) }
     }
 
     /// Virtual clock starting at `start_ms`; time moves only via
     /// [`Clock::advance`].
     pub fn manual(start_ms: u64) -> Clock {
-        Clock {
-            inner: Arc::new(ClockInner {
-                mode: Mode::Manual,
-                now_ms: Mutex::new(start_ms),
-                cv: Condvar::new(),
-            }),
-        }
+        Clock { inner: ClockInner::new(Mode::Manual, start_ms) }
     }
 
     /// Is this the test-driven manual mode?
@@ -98,7 +116,7 @@ impl Clock {
     pub fn now_ms(&self) -> u64 {
         match self.inner.mode {
             Mode::Real { epoch } => epoch.elapsed().as_millis() as u64,
-            Mode::Manual => *self.inner.now_ms.lock(),
+            Mode::Manual => self.inner.state.lock().now_ms,
         }
     }
 
@@ -113,9 +131,11 @@ impl Clock {
         match self.inner.mode {
             Mode::Real { .. } => panic!("Clock::advance on a real clock"),
             Mode::Manual => {
-                let mut now = self.inner.now_ms.lock();
-                *now += ms;
-                drop(now);
+                let mut tick = self.inner.state.lock();
+                tick.now_ms += ms;
+                tick.parked = 0;
+                tick.generation += 1;
+                drop(tick);
                 self.inner.cv.notify_all();
             }
         }
@@ -127,8 +147,32 @@ impl Clock {
     pub fn kick(&self) {
         // Lock-then-notify so a waiter between its predicate check and
         // its park cannot miss the wakeup.
-        drop(self.inner.now_ms.lock());
+        drop(self.inner.state.lock());
         self.inner.cv.notify_all();
+    }
+
+    /// Blocks until at least `n` [`Clock::wait_until`] waiters are
+    /// parked having seen the current time (none has been counted since
+    /// the last [`Clock::advance`]), or `timeout` of wall time passes.
+    /// Returns whether the waiters parked. After an `advance`, this is
+    /// how a test knows the deadline checks it triggered have all run —
+    /// without sleeping.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a real clock, like [`Clock::advance`].
+    pub fn wait_parked(&self, n: usize, timeout: Duration) -> bool {
+        assert!(self.is_manual(), "Clock::wait_parked on a real clock");
+        let deadline = Instant::now() + timeout;
+        let mut tick = self.inner.state.lock();
+        while tick.parked < n {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            let _ = self.inner.parked_cv.wait_for(&mut tick, deadline - now);
+        }
+        true
     }
 
     /// Parks until `now_ms() >= deadline_ms` or `cancelled()` turns
@@ -140,11 +184,11 @@ impl Clock {
     /// must [`Clock::kick`] (or [`Clock::advance`]) afterwards, or the
     /// waiter sleeps through it until the deadline.
     pub fn wait_until(&self, deadline_ms: u64, cancelled: &dyn Fn() -> bool) -> bool {
-        let mut guard = self.inner.now_ms.lock();
+        let mut guard = self.inner.state.lock();
         loop {
             let now = match self.inner.mode {
                 Mode::Real { epoch } => epoch.elapsed().as_millis() as u64,
-                Mode::Manual => *guard,
+                Mode::Manual => guard.now_ms,
             };
             if now >= deadline_ms {
                 return true;
@@ -157,7 +201,15 @@ impl Clock {
                     let remaining = Duration::from_millis(deadline_ms - now);
                     let _ = self.inner.cv.wait_for(&mut guard, remaining);
                 }
-                Mode::Manual => self.inner.cv.wait(&mut guard),
+                Mode::Manual => {
+                    let generation = guard.generation;
+                    guard.parked += 1;
+                    self.inner.parked_cv.notify_all();
+                    self.inner.cv.wait(&mut guard);
+                    if guard.generation == generation {
+                        guard.parked -= 1;
+                    }
+                }
             }
         }
     }
@@ -222,6 +274,28 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         c.kick();
         assert!(!h.join().unwrap(), "cancelled before the deadline");
+    }
+
+    #[test]
+    fn wait_parked_sees_waiters_re_park_after_each_advance() {
+        let c = Clock::manual(0);
+        let w = c.clone();
+        let h = thread::spawn(move || w.wait_until(100, &|| false));
+        assert!(c.wait_parked(1, Duration::from_secs(10)), "the waiter parks at 0");
+        c.advance(40);
+        assert!(c.wait_parked(1, Duration::from_secs(10)), "and re-parks having seen 40");
+        c.kick();
+        assert!(c.wait_parked(1, Duration::from_secs(10)), "a kick leaves it counted once");
+        assert!(!c.wait_parked(2, Duration::from_millis(20)), "one waiter is never two");
+        c.advance(60);
+        assert!(h.join().unwrap(), "deadline reached");
+        assert!(!c.wait_parked(1, Duration::from_millis(20)), "nobody parked at 100");
+    }
+
+    #[test]
+    #[should_panic(expected = "Clock::wait_parked on a real clock")]
+    fn wait_parked_on_real_clock_panics() {
+        Clock::real().wait_parked(0, Duration::ZERO);
     }
 
     #[test]
