@@ -32,8 +32,9 @@
 //! * `--out <path>` — where to write the JSON (default
 //!   `BENCH_hotpath.json` in the current directory);
 //! * `--check <path>` — validate an existing report instead of
-//!   benchmarking: required keys present, every number finite; exits
-//!   non-zero on violation;
+//!   benchmarking: it must parse as JSON with exactly the keys and value
+//!   kinds this binary writes, every number finite; exits non-zero on
+//!   violation;
 //! * `--guard <path> [--tolerance <f>]` — regression guard: on every
 //!   workload of an existing report that has a `fragmerge` (tree
 //!   reference) row, `adaptive-flat` must reach at least `tolerance` ×
@@ -48,6 +49,7 @@ use rma_core::{
 use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, RankId, World, WorldCfg};
 use rma_substrate::bench::BenchGroup;
+use rma_substrate::json::{self, Value};
 use rma_trace::{replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -297,6 +299,7 @@ fn best_sample(res: &rma_substrate::bench::BenchResult) -> f64 {
 }
 
 /// One (workload, config) measurement row of the report.
+#[derive(Default)]
 struct Row {
     workload: String,
     config: &'static str,
@@ -315,142 +318,65 @@ struct Row {
 }
 
 fn report_json(smoke: bool, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"hotpath\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"events\": {}, \
-             \"peak_nodes\": {}, \"fast_hit_rate\": {:.4}, \"races\": {}, \
-             \"median_ns\": {:.1}, \"best_ns\": {:.1}, \"events_per_sec\": {:.0}}}{}\n",
-            r.workload,
-            r.config,
-            r.events,
-            r.peak_nodes,
-            r.fast_hit_rate,
-            r.races,
-            r.median_ns,
-            r.best_ns,
-            r.events_per_sec,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|r| {
+        json::obj([
+            ("workload", r.workload.as_str().into()),
+            ("config", r.config.into()),
+            ("events", r.events.into()),
+            ("peak_nodes", r.peak_nodes.into()),
+            ("fast_hit_rate", json::fixed(r.fast_hit_rate, 4)),
+            ("races", r.races.into()),
+            ("median_ns", json::fixed(r.median_ns, 1)),
+            ("best_ns", json::fixed(r.best_ns, 1)),
+            ("events_per_sec", json::fixed(r.events_per_sec, 0)),
+        ])
+    });
+    json::obj([
+        ("bench", "hotpath".into()),
+        ("smoke", smoke.into()),
+        ("rows", Value::Arr(rows.collect())),
+    ])
+    .to_document()
 }
 
-/// Schema validation of an existing report: every required key present,
-/// every numeric field parseable and finite. No full JSON parser — the
-/// report's shape is fixed, so targeted scans are exact enough to catch
-/// a truncated, NaN-poisoned, or hand-mangled file.
-fn check_report(text: &str) -> Result<(), String> {
-    for key in ["\"bench\"", "\"smoke\"", "\"rows\""] {
-        if !text.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    if !text.contains("\"hotpath\"") {
+/// Parses a report and validates it: exactly the key paths and value
+/// kinds [`report_json`] writes (every number finite, so a truncated,
+/// NaN-poisoned or hand-mangled file fails), bench id `hotpath`, and at
+/// least one row.
+fn check_report(text: &str) -> Result<Value, String> {
+    let doc = json::parse_as(text, &report_json(false, &[Row::default()]))?;
+    if doc["bench"].as_str() != Some("hotpath") {
         return Err("bench id is not \"hotpath\"".into());
     }
-    let mut rows = 0;
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"workload\"") {
-            continue;
-        }
-        rows += 1;
-        for key in [
-            "\"workload\"",
-            "\"config\"",
-            "\"events\"",
-            "\"peak_nodes\"",
-            "\"fast_hit_rate\"",
-            "\"races\"",
-            "\"median_ns\"",
-            "\"best_ns\"",
-            "\"events_per_sec\"",
-        ] {
-            if !line.contains(key) {
-                return Err(format!("row {rows}: missing key {key}"));
-            }
-        }
-    }
-    if rows == 0 {
+    if doc["rows"].as_array().is_none_or(<[Value]>::is_empty) {
         return Err("no measurement rows".into());
     }
-    // Every numeric field must be a finite number.
-    for key in [
-        "\"events\":",
-        "\"peak_nodes\":",
-        "\"fast_hit_rate\":",
-        "\"races\":",
-        "\"median_ns\":",
-        "\"best_ns\":",
-        "\"events_per_sec\":",
-    ] {
-        let mut from = 0;
-        while let Some(pos) = text[from..].find(key) {
-            let start = from + pos + key.len();
-            let rest = text[start..].trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'))
-                .unwrap_or(rest.len());
-            let num: f64 = rest[..end]
-                .parse()
-                .map_err(|_| format!("{key} followed by non-number {:?}", &rest[..end.min(16)]))?;
-            if !num.is_finite() {
-                return Err(format!("{key} is not finite: {num}"));
-            }
-            from = start;
-        }
-    }
-    Ok(())
+    Ok(doc)
 }
 
-/// Extracts a `"key": <value>` field from one row line (the report's
-/// shape is fixed; see [`check_report`]).
-fn row_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// The bench-smoke regression guard: on every workload of `text` with a
-/// `fragmerge` (tree reference) row, the `adaptive-flat` production
-/// engine must reach at least `tolerance` × its events/sec, and must
-/// report the identical race count — losing anywhere, or diverging on
-/// a verdict, is a regression.
+/// The bench-smoke regression guard: `text` must pass [`check_report`],
+/// and on every workload with a `fragmerge` (tree reference) row the
+/// `adaptive-flat` production engine must reach at least `tolerance` ×
+/// its events/sec, and must report the identical race count — losing
+/// anywhere, or diverging on a verdict, is a regression.
 fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    // (workload, config) -> (events_per_sec, races)
-    let mut measured: Vec<(String, String, f64, u64)> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"workload\"") {
-            continue;
-        }
-        let workload = row_field(line, "workload").ok_or("row without workload")?.to_string();
-        let config = row_field(line, "config").ok_or("row without config")?.to_string();
-        let eps: f64 = row_field(line, "events_per_sec")
-            .ok_or("row without events_per_sec")?
-            .parse()
-            .map_err(|e| format!("{workload}/{config}: bad events_per_sec: {e}"))?;
-        let races: u64 = row_field(line, "races")
-            .ok_or("row without races")?
-            .parse()
-            .map_err(|e| format!("{workload}/{config}: bad races: {e}"))?;
-        measured.push((workload, config, eps, races));
-    }
-    let find = |workload: &str, config: &str| {
-        measured.iter().find(|(w, c, _, _)| w == workload && c == config)
-    };
-    let mut workloads: Vec<String> = measured
+    // (workload, config, events_per_sec, races)
+    let doc = check_report(text)?;
+    let measured: Vec<(&str, &str, f64, u64)> = doc["rows"]
+        .as_array()
+        .unwrap_or_default()
         .iter()
-        .filter(|(_, c, _, _)| c == "fragmerge")
-        .map(|(w, _, _, _)| w.clone())
+        .map(|r| {
+            let text = move |key| r[key].as_str().unwrap_or_default();
+            let eps = r["events_per_sec"].as_f64().unwrap_or(f64::NAN);
+            (text("workload"), text("config"), eps, r["races"].as_u64().unwrap_or_default())
+        })
         .collect();
+    let find = |workload: &str, config: &str| {
+        measured.iter().find(|(w, c, _, _)| *w == workload && *c == config)
+    };
+    let mut workloads: Vec<&str> =
+        measured.iter().filter(|(_, c, _, _)| *c == "fragmerge").map(|(w, _, _, _)| *w).collect();
     workloads.dedup();
     if workloads.is_empty() {
         return Err("no fragmerge rows to guard against".into());
@@ -496,7 +422,7 @@ fn main() -> ExitCode {
             }
         };
         return match check_report(&text) {
-            Ok(()) => {
+            Ok(_) => {
                 println!("bench_hotpath --check: {path} ok");
                 ExitCode::SUCCESS
             }
@@ -668,4 +594,69 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn checked_in() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
+        std::fs::read_to_string(path).expect("checked-in BENCH_hotpath.json")
+    }
+
+    fn row(config: &'static str, events_per_sec: f64, races: usize) -> Row {
+        Row { workload: "w".into(), config, events: 10, races, events_per_sec, ..Row::default() }
+    }
+
+    fn report(adaptive_eps: f64, adaptive_races: usize) -> String {
+        let adaptive = row("adaptive-flat", adaptive_eps, adaptive_races);
+        report_json(false, &[row("fragmerge", 100.0, 1), adaptive])
+    }
+
+    #[test]
+    fn checked_in_baseline_passes_check_and_guard() {
+        let text = checked_in();
+        check_report(&text).unwrap();
+        assert_eq!(
+            guard_report(&text, 1.0).unwrap(),
+            [
+                "synthetic/churn: adaptive-flat/fragmerge = 11.54x",
+                "synthetic/hotspot: adaptive-flat/fragmerge = 1.41x",
+                "corpus/ll_get_load_inwindow_origin_race: adaptive-flat/fragmerge = 1.04x",
+                "corpus/ll_put_put_inwindow_target_epochs_safe: adaptive-flat/fragmerge = 1.06x",
+                "corpus/lo2_put_put_inwindow_target_race: adaptive-flat/fragmerge = 1.03x",
+            ]
+        );
+    }
+
+    #[test]
+    fn check_rejects_broken_reports() {
+        let good = report(150.0, 1);
+        assert_eq!(guard_report(&good, 1.0).unwrap(), ["w: adaptive-flat/fragmerge = 1.50x"]);
+        let broken = [
+            ("truncated", good[..good.len() - 4].to_string()),
+            ("NaN", good.replace(r#""events_per_sec":150"#, r#""events_per_sec":NaN"#)),
+            ("missing row key", good.replacen(r#""peak_nodes":0,"#, "", 1)),
+            ("extra key", good.replacen(r#""races":1,"#, r#""races":1,"extra":0,"#, 1)),
+            ("no rows", report_json(false, &[])),
+            ("wrong bench", good.replace(r#""hotpath""#, r#""served""#)),
+        ];
+        for (what, text) in broken {
+            assert_ne!(text, good, "{what}: mutation did not apply");
+            assert!(check_report(&text).is_err(), "{what} must fail --check");
+            assert!(guard_report(&text, 0.0).is_err(), "{what} must fail --guard");
+        }
+        let nan_timing = report_json(false, &[Row { median_ns: f64::NAN, ..row("flat", 1.0, 0) }]);
+        assert!(check_report(&nan_timing).is_err(), "a NaN timing must fail its self-check");
+    }
+
+    #[test]
+    fn guard_rejects_divergence_and_slow_engine() {
+        let err = guard_report(&report(150.0, 2), 1.0).unwrap_err();
+        assert!(err.contains("verdict divergence"), "{err}");
+        let err = guard_report(&report(90.0, 1), 1.0).unwrap_err();
+        assert!(err.contains("0.900x fragmerge") && err.contains("below tolerance"), "{err}");
+        assert!(guard_report(&report(90.0, 1), 0.5).is_ok());
+    }
 }

@@ -23,13 +23,15 @@
 //! * `--out <path>` — where to write the JSON (default
 //!   `BENCH_served.json` in the current directory);
 //! * `--check <path>` — validate an existing report instead of
-//!   benchmarking: required keys present, every number finite; exits
-//!   non-zero on violation.
+//!   benchmarking: it must parse as JSON with exactly the keys and value
+//!   kinds this binary writes, every number finite; exits non-zero on
+//!   violation.
 
 use rma_served::daemon::{run_daemon, DaemonCfg, DaemonExit};
 use rma_served::{resolve_rcfg, Durability, ServeCfg, Service, Spool};
 use rma_core::{Interval, SrcLoc};
 use rma_substrate::fs::Fs;
+use rma_substrate::json::{self, Value};
 use rma_suite::{generate_suite, run_case_with_monitor};
 use rma_trace::{
     replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader, TraceWriter,
@@ -66,6 +68,7 @@ fn direct_replay(trace: &Trace) -> ReplayOutcome {
     replay_trace(trace, Box::new(StoreTarget::new(move || rcfg.build_store(None))))
 }
 
+#[derive(Default)]
 struct Workload {
     streams: Vec<Vec<u8>>,
     events: usize,
@@ -78,6 +81,7 @@ struct Workload {
 /// throughput. Churn-shaped (see `bench_hotpath`): one rank, one
 /// `lock_all` epoch, disjoint tracked accesses interleaved across 1 MiB
 /// regions so the interval store accumulates a node per access.
+#[derive(Default)]
 struct LargeStream {
     bytes: Vec<u8>,
     events: usize,
@@ -231,6 +235,7 @@ fn direct_batch(w: &Workload) -> (u64, u64) {
     (events, races)
 }
 
+#[derive(Default)]
 struct Row {
     config: &'static str,
     workers: usize,
@@ -241,100 +246,44 @@ struct Row {
 }
 
 fn report_json(smoke: bool, w: &Workload, l: &LargeStream, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"served\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"streams\": {},\n", w.streams.len()));
-    out.push_str(&format!("  \"events\": {},\n", w.events));
-    out.push_str(&format!("  \"races\": {},\n", w.races));
-    out.push_str(&format!("  \"large_bytes\": {},\n", l.bytes.len()));
-    out.push_str(&format!("  \"large_events\": {},\n", l.events));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"workers\": {}, \"durability\": \"{}\", \
-             \"median_ns\": {:.1}, \"best_ns\": {:.1}, \"events_per_sec\": {:.0}}}{}\n",
-            r.config,
-            r.workers,
-            r.durability,
-            r.median_ns,
-            r.best_ns,
-            r.events_per_sec,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|r| {
+        json::obj([
+            ("config", r.config.into()),
+            ("workers", r.workers.into()),
+            ("durability", r.durability.into()),
+            ("median_ns", json::fixed(r.median_ns, 1)),
+            ("best_ns", json::fixed(r.best_ns, 1)),
+            ("events_per_sec", json::fixed(r.events_per_sec, 0)),
+        ])
+    });
+    json::obj([
+        ("bench", "served".into()),
+        ("smoke", smoke.into()),
+        ("streams", w.streams.len().into()),
+        ("events", w.events.into()),
+        ("races", w.races.into()),
+        ("large_bytes", l.bytes.len().into()),
+        ("large_events", l.events.into()),
+        ("rows", Value::Arr(rows.collect())),
+    ])
+    .to_document()
 }
 
-/// Schema validation of an existing report — same targeted-scan style
-/// as `bench_hotpath --check`.
+/// Validates a report: exactly the key paths and value kinds
+/// [`report_json`] writes (every number finite), bench id `served`, and
+/// at least one row, one of them a large-trace row.
 fn check_report(text: &str) -> Result<(), String> {
-    for key in [
-        "\"bench\"",
-        "\"smoke\"",
-        "\"streams\"",
-        "\"events\"",
-        "\"races\"",
-        "\"large_bytes\"",
-        "\"large_events\"",
-        "\"rows\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    if !text.contains("\"served\"") {
+    let (w, l) = (Workload::default(), LargeStream::default());
+    let doc = json::parse_as(text, &report_json(false, &w, &l, &[Row::default()]))?;
+    if doc["bench"].as_str() != Some("served") {
         return Err("bench id is not \"served\"".into());
     }
-    let mut rows = 0;
-    let mut large_rows = 0;
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"config\"") {
-            continue;
-        }
-        rows += 1;
-        large_rows += usize::from(line.contains("large"));
-        for key in [
-            "\"config\"",
-            "\"workers\"",
-            "\"durability\"",
-            "\"median_ns\"",
-            "\"best_ns\"",
-            "\"events_per_sec\"",
-        ] {
-            if !line.contains(key) {
-                return Err(format!("row {rows}: missing key {key}"));
-            }
-        }
-    }
-    if rows == 0 {
+    let rows = doc["rows"].as_array().unwrap_or_default();
+    if rows.is_empty() {
         return Err("no measurement rows".into());
     }
-    if large_rows == 0 {
+    if !rows.iter().any(|r| r["config"].as_str().is_some_and(|c| c.contains("large"))) {
         return Err("no large-trace rows".into());
-    }
-    for key in
-        ["\"workers\":", "\"median_ns\":", "\"best_ns\":", "\"events_per_sec\":", "\"events\":"]
-    {
-        let mut from = 0;
-        while let Some(pos) = text[from..].find(key) {
-            let start = from + pos + key.len();
-            let rest = text[start..].trim_start();
-            let end = rest
-                .find(|c: char| {
-                    !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-                })
-                .unwrap_or(rest.len());
-            let num: f64 = rest[..end]
-                .parse()
-                .map_err(|_| format!("{key} followed by non-number {:?}", &rest[..end.min(16)]))?;
-            if !num.is_finite() {
-                return Err(format!("{key} is not finite: {num}"));
-            }
-            from = start;
-        }
     }
     Ok(())
 }
@@ -466,4 +415,45 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(rows: &[Row]) -> String {
+        let w = Workload { streams: vec![Vec::new(); 2], events: 40, races: 2 };
+        let l = LargeStream { bytes: vec![0; 9], events: 4, races: 0 };
+        report_json(true, &w, &l, rows)
+    }
+
+    fn row(config: &'static str) -> Row {
+        Row { config, workers: 2, durability: "-", events_per_sec: 5.0, ..Row::default() }
+    }
+
+    #[test]
+    fn checked_in_baseline_passes_check() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_served.json");
+        check_report(&std::fs::read_to_string(path).expect("checked-in BENCH_served.json"))
+            .unwrap();
+    }
+
+    #[test]
+    fn check_rejects_broken_reports() {
+        let good = report(&[row("served/w2"), row("served/large")]);
+        check_report(&good).unwrap();
+        let broken = [
+            ("truncated", good[..good.len() - 4].to_string()),
+            ("NaN", good.replace(r#""events_per_sec":5"#, r#""events_per_sec":NaN"#)),
+            ("missing row key", good.replacen(r#""workers":2,"#, "", 1)),
+            ("extra key", good.replacen(r#""large_events":4,"#, r#""large_events":4,"x":1,"#, 1)),
+            ("no large row", report(&[row("served/w2")])),
+            ("no rows", report(&[])),
+            ("wrong bench", good.replace(r#""served""#, r#""hotpath""#)),
+        ];
+        for (what, text) in broken {
+            assert_ne!(text, good, "{what}: mutation did not apply");
+            assert!(check_report(&text).is_err(), "{what} must fail --check");
+        }
+    }
 }

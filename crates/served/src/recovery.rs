@@ -45,6 +45,7 @@
 use crate::service::{analyze_bytes, quarantined_report, ServeCfg};
 use crate::spool::{parse_stream_stem, verdict_body, PublishOutcome, Spool};
 use crate::wal::{read_wal, Durability, WalRecord, WalWriter};
+use rma_substrate::json::{self, Value};
 use rma_trace::trace::fnv1a;
 use std::io;
 
@@ -82,35 +83,22 @@ pub struct RecoveryStats {
 impl RecoveryStats {
     /// The `stats.json` fragment — counts only, keys in struct order.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"recovered\":{},\"republished\":{},\"wal_records\":{},\"torn_wals\":{},\
-             \"stale_wals\":{},\"orphan_work\":{},\"tmp_swept\":{},\"publish_failures\":{},\
-             \"quarantined\":{}}}",
-            self.recovered,
-            self.republished,
-            self.wal_records,
-            self.torn_wals,
-            self.stale_wals,
-            self.orphan_work,
-            self.tmp_swept,
-            self.publish_failures,
-            self.quarantined
-        )
+        self.to_value().to_line()
     }
 
-    /// Field names, [`RecoveryStats::to_json`] order — the schema the
-    /// stats checker enforces.
-    pub const KEYS: [&'static str; 9] = [
-        "recovered",
-        "republished",
-        "wal_records",
-        "torn_wals",
-        "stale_wals",
-        "orphan_work",
-        "tmp_swept",
-        "publish_failures",
-        "quarantined",
-    ];
+    pub(crate) fn to_value(&self) -> Value {
+        json::obj([
+            ("recovered", self.recovered.into()),
+            ("republished", self.republished.into()),
+            ("wal_records", self.wal_records.into()),
+            ("torn_wals", self.torn_wals.into()),
+            ("stale_wals", self.stale_wals.into()),
+            ("orphan_work", self.orphan_work.into()),
+            ("tmp_swept", self.tmp_swept.into()),
+            ("publish_failures", self.publish_failures.into()),
+            ("quarantined", self.quarantined.into()),
+        ])
+    }
 }
 
 /// Publishes the (purely record-derived) quarantined verdict, parks the
@@ -265,11 +253,45 @@ mod tests {
 
     #[test]
     fn recovery_json_matches_declared_keys() {
+        // The struct's declared fields, in order, are the JSON's keys.
         let stats = RecoveryStats { recovered: 3, tmp_swept: 1, ..Default::default() };
+        let debug = format!("{stats:?}");
+        let declared: Vec<String> = debug
+            .split(['{', ','])
+            .skip(1)
+            .map(|field| field.split(':').next().unwrap().trim().to_string())
+            .collect();
         let json = stats.to_json();
-        for key in RecoveryStats::KEYS {
-            assert!(json.contains(&format!("\"{key}\":")), "missing {key} in {json}");
-        }
+        assert_eq!(rma_substrate::json::parse(&json).unwrap().key_paths(), declared);
         assert!(json.contains("\"recovered\":3") && json.contains("\"tmp_swept\":1"));
+    }
+
+    #[test]
+    fn golden_recovery_json() {
+        let stats = RecoveryStats {
+            recovered: 1,
+            republished: 2,
+            wal_records: 30,
+            torn_wals: 4,
+            stale_wals: 5,
+            orphan_work: 6,
+            tmp_swept: 7,
+            publish_failures: 8,
+            quarantined: 9,
+        };
+        assert_eq!(
+            stats.to_json(),
+            concat!(
+                r#"{"recovered":1,"republished":2,"wal_records":30,"torn_wals":4,"stale_wals":5,"#,
+                r#""orphan_work":6,"tmp_swept":7,"publish_failures":8,"quarantined":9}"#,
+            )
+        );
+        assert_eq!(
+            RecoveryStats::default().to_json(),
+            concat!(
+                r#"{"recovered":0,"republished":0,"wal_records":0,"torn_wals":0,"stale_wals":0,"#,
+                r#""orphan_work":0,"tmp_swept":0,"publish_failures":0,"quarantined":0}"#,
+            )
+        );
     }
 }

@@ -10,13 +10,15 @@
 //!   wall-clock-derived numbers (events/sec, peak queue depth,
 //!   blocked-producer counts) that vary run to run.
 //!
-//! [`check_stats_json`] validates the JSON against its schema with the
-//! same hand-rolled targeted scans the bench harness uses — this
-//! workspace has no JSON parser, and does not need one to keep a
-//! machine-readable artifact honest.
+//! Both the writer and the readers go through `rma_substrate::json`:
+//! [`check_stats_json`] parses a document and requires exactly the key
+//! paths and value kinds of [`ServedStats::to_json`]'s own output for a
+//! zero-valued sample, and [`render_stats_json`] reads its values from
+//! the parsed document.
 
 use crate::recovery::RecoveryStats;
 use crate::service::{ServeCfg, Tier};
+use rma_substrate::json::{self, Value};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -56,7 +58,7 @@ pub struct TenantStats {
 }
 
 /// A telemetry snapshot.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServedStats {
     /// Detector name.
     pub detector: &'static str,
@@ -129,60 +131,49 @@ impl ServedStats {
 
     /// The deterministic one-line JSON artifact (see module docs).
     pub fn to_json(&self) -> String {
-        fn tiers_json(tiers: &[u64; 7]) -> String {
-            let fields: Vec<String> = Tier::ALL
-                .iter()
-                .map(|t| format!("\"{}\":{}", t.name(), tiers[t.idx()]))
-                .collect();
-            format!("{{{}}}", fields.join(","))
+        self.to_value().to_line()
+    }
+
+    fn to_value(&self) -> Value {
+        // The counters the service totals and each tenant share.
+        fn counters(t: &TenantStats) -> [(&'static str, Value); 7] {
+            [
+                ("streams", t.streams.into()),
+                ("events", t.events.into()),
+                ("races", t.races.into()),
+                ("respawns", t.respawns.into()),
+                ("degraded_stores", t.degraded_stores.into()),
+                ("brownout", t.brownout.into()),
+                ("shed", t.shed.into()),
+            ]
         }
+        fn tiers(tiers: &[u64; 7]) -> Value {
+            json::obj(Tier::ALL.map(|t| (t.name(), tiers[t.idx()].into())))
+        }
+        let tenants = self.tenants.iter().map(|(name, t)| {
+            let mut fields = vec![("tenant", name.as_str().into())];
+            fields.extend(counters(t));
+            fields.extend([("epochs", t.epochs.into()), ("tiers", tiers(&t.tiers))]);
+            json::obj(fields)
+        });
         let tot = self.totals();
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|(name, t)| {
-                format!(
-                    "{{\"tenant\":\"{}\",\"streams\":{},\"events\":{},\"races\":{},\
-                     \"respawns\":{},\"degraded_stores\":{},\"brownout\":{},\"shed\":{},\
-                     \"epochs\":{},\"tiers\":{}}}",
-                    json_escape(name),
-                    t.streams,
-                    t.events,
-                    t.races,
-                    t.respawns,
-                    t.degraded_stores,
-                    t.brownout,
-                    t.shed,
-                    t.epochs,
-                    tiers_json(&t.tiers),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"service\":\"rma-served\",\"detector\":\"{}\",\
-             \"workers\":{},\"queue_bound\":{},\"tenant_quota\":{},\
-             \"memory_budget\":{},\"stream_deadline\":{},\"quarantine_after\":{},\
-             \"streams\":{},\"events\":{},\"races\":{},\"respawns\":{},\
-             \"degraded_stores\":{},\"brownout\":{},\"shed\":{},\
-             \"tiers\":{},\"recovery\":{},\"tenants\":[{}]}}",
-            self.detector,
-            self.workers,
-            self.queue_bound,
-            self.tenant_quota,
-            self.memory_budget,
-            self.stream_deadline,
-            self.quarantine_after,
-            tot.streams,
-            tot.events,
-            tot.races,
-            tot.respawns,
-            tot.degraded_stores,
-            tot.brownout,
-            tot.shed,
-            tiers_json(&tot.tiers),
-            self.recovery.to_json(),
-            tenants.join(","),
-        )
+        let mut fields = vec![
+            ("service", "rma-served".into()),
+            ("detector", self.detector.into()),
+            ("workers", self.workers.into()),
+            ("queue_bound", self.queue_bound.into()),
+            ("tenant_quota", self.tenant_quota.into()),
+            ("memory_budget", self.memory_budget.into()),
+            ("stream_deadline", self.stream_deadline.into()),
+            ("quarantine_after", self.quarantine_after.into()),
+        ];
+        fields.extend(counters(&tot));
+        fields.extend([
+            ("tiers", tiers(&tot.tiers)),
+            ("recovery", self.recovery.to_value()),
+            ("tenants", Value::Arr(tenants.collect())),
+        ]);
+        json::obj(fields)
     }
 
     /// Human-readable summary, including the run-to-run-variable
@@ -207,25 +198,7 @@ impl ServedStats {
             tot.respawns,
             tot.degraded_stores,
         );
-        out.push_str(&format!(
-            "overload: shed {} | brownouts {} | quarantined {} | timeouts {}",
-            tot.shed,
-            tot.brownout,
-            tot.tiers[Tier::Quarantined.idx()],
-            tot.tiers[Tier::Timeout.idx()],
-        ));
-        if self.tenant_quota > 0 {
-            out.push_str(&format!(" | tenant quota {}", self.tenant_quota));
-        }
-        if self.memory_budget > 0 {
-            out.push_str(&format!(" | memory budget {} nodes", self.memory_budget));
-        }
-        if self.stream_deadline > 0 {
-            out.push_str(&format!(" | stream deadline {}ms", self.stream_deadline));
-        }
-        if self.quarantine_after > 0 {
-            out.push_str(&format!(" | quarantine after {} deaths", self.quarantine_after));
-        }
+        out.push_str(&overload_line(&self.to_value()));
         out.push('\n');
         out.push_str("tiers:");
         for t in Tier::ALL {
@@ -256,176 +229,91 @@ impl ServedStats {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// The first key path naming a wall-clock or scheduling-dependent
+/// quantity, with the fragment that marks it. Values (tenant names)
+/// are not looked at.
+fn banned_key(doc: &Value) -> Option<(String, &'static str)> {
+    let banned = ["timestamp", "duration", "_ms", "per_sec", "depth", "blocked"];
+    doc.key_paths()
+        .into_iter()
+        .find_map(|path| banned.iter().find(|b| path.contains(*b)).map(|b| (path, *b)))
 }
 
-/// Validates a stats JSON line against its schema: every required
-/// top-level key present, every tier key present under `"tiers"`, and
-/// every counter a bare unsigned integer. Schema-checks without a JSON
-/// parser, like the bench harness's report checker.
-pub fn check_stats_json(json: &str) -> Result<(), String> {
-    let line = json.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("stats JSON must be a single object".into());
-    }
-    if line.lines().count() != 1 {
+/// Validates a stats JSON line and returns the parsed document. The
+/// schema is exactly the key paths and value kinds
+/// [`ServedStats::to_json`] writes for a zero-valued sample with one
+/// tenant, on one line, with no [`banned_key`].
+pub fn check_stats_json(json: &str) -> Result<Value, String> {
+    if json.trim().lines().count() != 1 {
         return Err("stats JSON must be a single line".into());
     }
-    for key in ["service", "detector"] {
-        if !line.contains(&format!("\"{key}\":\"")) {
-            return Err(format!("missing string field {key:?}"));
-        }
+    let sample = ServedStats {
+        tenants: BTreeMap::from([(String::new(), TenantStats::default())]),
+        ..Default::default()
+    };
+    let doc = json::parse_as(json, &sample.to_json())?;
+    if let Some((path, banned)) = banned_key(&doc) {
+        return Err(format!(
+            "stats JSON must stay deterministic: key {path:?} contains {banned:?}"
+        ));
     }
-    for key in [
-        "workers",
-        "queue_bound",
-        "tenant_quota",
-        "memory_budget",
-        "stream_deadline",
-        "quarantine_after",
-        "streams",
-        "events",
-        "races",
-        "respawns",
-        "degraded_stores",
-        "brownout",
-        "shed",
+    Ok(doc)
+}
+
+/// The `overload:` line both human renderings share, read from a stats
+/// document: the overload tallies, then each limit that is set.
+fn overload_line(doc: &Value) -> String {
+    let num = |v: &Value| v.as_u64().unwrap_or(0);
+    let mut out = format!(
+        "overload: shed {} | brownouts {} | quarantined {} | timeouts {}",
+        num(&doc["shed"]),
+        num(&doc["brownout"]),
+        num(&doc["tiers"]["quarantined"]),
+        num(&doc["tiers"]["timeout"]),
+    );
+    for (key, label, unit) in [
+        ("tenant_quota", "tenant quota", ""),
+        ("memory_budget", "memory budget", " nodes"),
+        ("stream_deadline", "stream deadline", "ms"),
+        ("quarantine_after", "quarantine after", " deaths"),
     ] {
-        let tag = format!("\"{key}\":");
-        let Some(at) = line.find(&tag) else {
-            return Err(format!("missing numeric field {key:?}"));
-        };
-        let digits: String = line[at + tag.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if digits.is_empty() {
-            return Err(format!("field {key:?} is not an unsigned integer"));
+        let limit = num(&doc[key]);
+        if limit > 0 {
+            out.push_str(&format!(" | {label} {limit}{unit}"));
         }
     }
-    let Some(tiers_at) = line.find("\"tiers\":{") else {
-        return Err("missing tiers object".into());
-    };
-    let tiers_end = line[tiers_at..]
-        .find('}')
-        .map(|i| tiers_at + i)
-        .ok_or("unterminated tiers object")?;
-    let tiers = &line[tiers_at..=tiers_end];
-    for t in Tier::ALL {
-        if !tiers.contains(&format!("\"{}\":", t.name())) {
-            return Err(format!("missing tier {:?}", t.name()));
-        }
-    }
-    let Some(rec_at) = line.find("\"recovery\":{") else {
-        return Err("missing recovery object".into());
-    };
-    let rec_end =
-        line[rec_at..].find('}').map(|i| rec_at + i).ok_or("unterminated recovery object")?;
-    let recovery = &line[rec_at..=rec_end];
-    for key in RecoveryStats::KEYS {
-        if !recovery.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing recovery counter {key:?}"));
-        }
-    }
-    if !line.contains("\"tenants\":[") {
-        return Err("missing tenants array".into());
-    }
-    for banned in ["timestamp", "duration", "_ms", "per_sec", "depth", "blocked"] {
-        if line.contains(banned) {
-            return Err(format!(
-                "stats JSON must stay deterministic: found banned fragment {banned:?}"
-            ));
-        }
-    }
-    Ok(())
+    out
 }
 
 /// Human digest of a published `stats.json` body — the
-/// `rma-served stats --human` view. Scans the exact format
-/// [`ServedStats::to_json`] emits (schema-checked first), focusing on
-/// the overload story: shed/brownout/quarantine tallies overall and per
-/// tenant, with each tenant's quota pressure when a quota is set.
+/// `rma-served stats --human` view. Reads the schema-checked document,
+/// focusing on the overload story: shed/brownout/quarantine tallies
+/// overall and per tenant, with each tenant's quota pressure when a
+/// quota is set.
 pub fn render_stats_json(json: &str) -> Result<String, String> {
-    check_stats_json(json)?;
-    fn num(scope: &str, key: &str) -> u64 {
-        let tag = format!("\"{key}\":");
-        scope
-            .find(&tag)
-            .map(|at| {
-                scope[at + tag.len()..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect::<String>()
-                    .parse()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
-    }
-    fn word(scope: &str, key: &str) -> String {
-        let tag = format!("\"{key}\":\"");
-        scope
-            .find(&tag)
-            .map(|at| scope[at + tag.len()..].chars().take_while(|c| *c != '"').collect())
-            .unwrap_or_default()
-    }
-    let line = json.trim();
-    // Totals come before the "tenants" array, so first-occurrence
-    // scans over this prefix read the service-wide counters.
-    let head = &line[..line.find("\"tenants\":[").unwrap_or(line.len())];
-    let quota = num(head, "tenant_quota");
+    let doc = check_stats_json(json)?;
+    let num = |v: &Value| v.as_u64().unwrap_or(0);
+    let quota = num(&doc["tenant_quota"]);
     let mut out = format!(
-        "rma-served: {} stream(s), {} event(s), {} race(s) | detector={}\n",
-        num(head, "streams"),
-        num(head, "events"),
-        num(head, "races"),
-        word(head, "detector"),
+        "rma-served: {} stream(s), {} event(s), {} race(s) | detector={}\n{}\n",
+        num(&doc["streams"]),
+        num(&doc["events"]),
+        num(&doc["races"]),
+        doc["detector"].as_str().unwrap_or_default(),
+        overload_line(&doc),
     );
-    out.push_str(&format!(
-        "overload: shed {} | brownouts {} | quarantined {} | timeouts {}",
-        num(head, "shed"),
-        num(head, "brownout"),
-        num(head, "quarantined"),
-        num(head, "timeout"),
-    ));
-    if quota > 0 {
-        out.push_str(&format!(" | tenant quota {quota}"));
-    }
-    let budget = num(head, "memory_budget");
-    if budget > 0 {
-        out.push_str(&format!(" | memory budget {budget} nodes"));
-    }
-    let deadline = num(head, "stream_deadline");
-    if deadline > 0 {
-        out.push_str(&format!(" | stream deadline {deadline}ms"));
-    }
-    let after = num(head, "quarantine_after");
-    if after > 0 {
-        out.push_str(&format!(" | quarantine after {after} deaths"));
-    }
-    out.push('\n');
-    for chunk in line.split("{\"tenant\":\"").skip(1) {
-        let name: String = chunk.chars().take_while(|c| *c != '"').collect();
-        let scope = &chunk[..chunk.find('}').map(|i| i + 1).unwrap_or(chunk.len())];
-        // `scope` runs through the tenant's nested tiers object (its
-        // first `}`), so tier names resolve per tenant here.
+    for t in doc["tenants"].as_array().unwrap_or_default() {
         out.push_str(&format!(
-            "tenant {name}: streams={} races={} degraded={} brownout={} shed={} \
+            "tenant {}: streams={} races={} degraded={} brownout={} shed={} \
              quarantined={} timeout={}",
-            num(scope, "streams"),
-            num(scope, "races"),
-            num(scope, "degraded_stores"),
-            num(scope, "brownout"),
-            num(scope, "shed"),
-            num(scope, "quarantined"),
-            num(scope, "timeout"),
+            t["tenant"].as_str().unwrap_or_default(),
+            num(&t["streams"]),
+            num(&t["races"]),
+            num(&t["degraded_stores"]),
+            num(&t["brownout"]),
+            num(&t["shed"]),
+            num(&t["tiers"]["quarantined"]),
+            num(&t["tiers"]["timeout"]),
         ));
         if quota > 0 {
             out.push_str(&format!(" quota={quota}"));
@@ -536,6 +424,63 @@ mod tests {
         assert!(human.contains("quota_peak="));
     }
 
+    /// Byte-exact `stats.json`: two tenants in sorted order (one whose
+    /// name needs escaping) and nonzero recovery counters.
+    #[test]
+    fn golden_stats_json() {
+        let mut s = sample();
+        s.tenant_quota = 1;
+        s.memory_budget = 2;
+        s.stream_deadline = 250;
+        s.quarantine_after = 3;
+        s.tenants.insert(
+            "we\"ird\\\u{1}".to_string(),
+            TenantStats {
+                streams: 3,
+                events: 7,
+                races: 2,
+                respawns: 1,
+                degraded_stores: 2,
+                brownout: 1,
+                shed: 4,
+                epochs: 5,
+                tiers: [0, 1, 0, 0, 0, 1, 1],
+                peak_live: 9,
+                peak_queue_depth: 9,
+                blocked_sends: 9,
+            },
+        );
+        s.recovery = RecoveryStats {
+            recovered: 1,
+            republished: 2,
+            wal_records: 3,
+            torn_wals: 4,
+            stale_wals: 5,
+            orphan_work: 6,
+            tmp_swept: 7,
+            publish_failures: 8,
+            quarantined: 9,
+        };
+        assert_eq!(
+            s.to_json(),
+            concat!(
+                r#"{"service":"rma-served","detector":"fragmerge","workers":2,"queue_bound":64,"#,
+                r#""tenant_quota":1,"memory_budget":2,"stream_deadline":250,"quarantine_after":3,"#,
+                r#""streams":5,"events":107,"races":3,"respawns":1,"degraded_stores":2,"#,
+                r#""brownout":1,"shed":4,"tiers":{"clean":1,"racy":2,"truncated":0,"lost":0,"#,
+                r#""malformed":0,"timeout":1,"quarantined":1},"recovery":{"recovered":1,"#,
+                r#""republished":2,"wal_records":3,"torn_wals":4,"stale_wals":5,"orphan_work":6,"#,
+                r#""tmp_swept":7,"publish_failures":8,"quarantined":9},"tenants":["#,
+                r#"{"tenant":"acme","streams":2,"events":100,"races":1,"respawns":0,"#,
+                r#""degraded_stores":0,"brownout":0,"shed":0,"epochs":0,"tiers":{"clean":1,"#,
+                r#""racy":1,"truncated":0,"lost":0,"malformed":0,"timeout":0,"quarantined":0}},"#,
+                r#"{"tenant":"we\"ird\\\u0001","streams":3,"events":7,"races":2,"respawns":1,"#,
+                r#""degraded_stores":2,"brownout":1,"shed":4,"epochs":5,"tiers":{"clean":0,"#,
+                r#""racy":1,"truncated":0,"lost":0,"malformed":0,"timeout":1,"quarantined":1}}]}"#,
+            )
+        );
+    }
+
     #[test]
     fn tenant_names_are_escaped() {
         let mut s = sample();
@@ -544,5 +489,27 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("we\\\"ird\\\\name"));
         check_stats_json(&json).unwrap();
+    }
+
+    #[test]
+    fn banned_fragments_apply_to_keys_not_tenant_names() {
+        let mut s = sample();
+        for name in ["blocked", "run_ms"] {
+            s.tenants.insert(name.to_string(), TenantStats::default());
+        }
+        let json = s.to_json();
+        check_stats_json(&json).unwrap();
+        assert!(render_stats_json(&json).unwrap().contains("tenant run_ms: streams=0"));
+        let doc = json::parse(r#"{"tenant":"blocked","tiers":{"run_ms":0}}"#).unwrap();
+        assert_eq!(banned_key(&doc), Some(("tiers.run_ms".to_string(), "_ms")));
+    }
+
+    #[test]
+    fn human_rendering_unescapes_tenant_names() {
+        let mut s = sample();
+        let t = s.tenants.remove("acme").unwrap();
+        s.tenants.insert("we\"ird".to_string(), t);
+        let human = render_stats_json(&s.to_json()).unwrap();
+        assert!(human.contains("tenant we\"ird: streams=2 races=1 degraded=0"), "{human}");
     }
 }

@@ -9,6 +9,7 @@
 //! written as JSON under `<workspace target>/bench-results/` (override
 //! the directory with `RMA_BENCH_OUT_DIR`).
 
+use crate::json::{self, Value};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -112,21 +113,21 @@ impl BenchGroup {
 
     /// The group's results as a JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"group\": {},\n", json_str(&self.name)));
-        out.push_str(&format!("  \"sample_size\": {},\n", self.sample_size));
-        out.push_str("  \"benches\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"id\": {}, ", json_str(&r.id)));
-            out.push_str(&format!("\"iters_per_sample\": {}, ", r.iters_per_sample));
-            out.push_str(&format!("\"median_ns\": {:.1}, ", r.median_ns));
-            let samples: Vec<String> = r.samples_ns.iter().map(|s| format!("{s:.1}")).collect();
-            out.push_str(&format!("\"samples_ns\": [{}]", samples.join(", ")));
-            out.push_str(if i + 1 == self.results.len() { "}\n" } else { "},\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let benches = self.results.iter().map(|r| {
+            let samples = r.samples_ns.iter().map(|&s| json::fixed(s, 1)).collect();
+            json::obj([
+                ("id", r.id.as_str().into()),
+                ("iters_per_sample", r.iters_per_sample.into()),
+                ("median_ns", json::fixed(r.median_ns, 1)),
+                ("samples_ns", Value::Arr(samples)),
+            ])
+        });
+        json::obj([
+            ("group", self.name.as_str().into()),
+            ("sample_size", self.sample_size.into()),
+            ("benches", Value::Arr(benches.collect())),
+        ])
+        .to_document()
     }
 
     /// Measurements collected so far.
@@ -151,19 +152,6 @@ fn default_out_dir() -> std::path::PathBuf {
             return std::path::PathBuf::from("target/bench-results");
         }
     }
-}
-
-fn json_str(s: &str) -> String {
-    let escaped: String = s
-        .chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
 }
 
 /// Human-readable nanoseconds.
@@ -201,9 +189,11 @@ mod tests {
         g.sample_size(3);
         g.bench("a", || 0u8);
         let j = g.to_json();
-        assert!(j.contains("\"group\": \"self\\\"test\""));
-        assert!(j.contains("\"median_ns\""));
-        assert!(j.contains("\"id\": \"a\""));
+        assert!(j.contains(r#""group":"self\"test""#));
+        let doc = json::parse(&j).unwrap();
+        let bench = &doc["benches"].as_array().unwrap()[0];
+        assert!(bench["median_ns"].as_f64().is_some());
+        assert_eq!(bench["id"].as_str(), Some("a"));
     }
 
     #[test]

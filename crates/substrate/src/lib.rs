@@ -28,6 +28,8 @@
 //! * [`clock`] — an injectable monotonic clock (real or test-driven
 //!   virtual milliseconds) so deadline and timeout logic is
 //!   deterministic under test.
+//! * [`json`] — the workspace's one JSON writer, reader and flat-schema
+//!   check, behind every machine-readable artifact.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -36,6 +38,7 @@ pub mod bench;
 pub mod channel;
 pub mod clock;
 pub mod fs;
+pub mod json;
 pub mod prop;
 pub mod rng;
 pub mod sync;

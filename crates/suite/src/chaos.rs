@@ -38,6 +38,7 @@ use crate::run::run_case_with_cfg;
 use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_must::{MustCfg, MustRma, OnRace as MustOnRace};
 use rma_sim::{FaultKind, FaultPlan, Monitor, RunOutcome, Tee, WorldCfg};
+use rma_substrate::json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,28 +109,22 @@ impl ChaosResult {
     /// timestamps or durations), used by `rma-chaos --json` so two
     /// sweeps over the same seeds can be diffed byte-for-byte.
     pub fn to_json(&self) -> String {
-        let (times, kind) = match self.plan.kind {
-            FaultKind::KillWorker { times } => (times, self.plan.kind.name()),
-            k => (0, k.name()),
+        let times = match self.plan.kind {
+            FaultKind::KillWorker { times } => times,
+            _ => 0,
         };
-        let equivalent = match self.equivalent {
-            None => "null".to_string(),
-            Some(b) => b.to_string(),
-        };
-        format!(
-            "{{\"seed\":{},\"case\":\"{}\",\"fault\":\"{}\",\"rank\":{},\
-             \"at_event\":{},\"times\":{},\"verdict\":\"{}\",\
-             \"respawns\":{},\"equivalent\":{}}}",
-            self.seed,
-            self.case,
-            kind,
-            self.plan.rank,
-            self.plan.at_event,
-            times,
-            self.verdict.name(),
-            self.respawns,
-            equivalent,
-        )
+        json::obj([
+            ("seed", self.seed.into()),
+            ("case", self.case.as_str().into()),
+            ("fault", self.plan.kind.name().into()),
+            ("rank", self.plan.rank.into()),
+            ("at_event", self.plan.at_event.into()),
+            ("times", times.into()),
+            ("verdict", self.verdict.name().into()),
+            ("respawns", self.respawns.into()),
+            ("equivalent", self.equivalent.map_or(json::Value::Null, json::Value::Bool)),
+        ])
+        .to_line()
     }
 }
 
@@ -314,4 +309,60 @@ fn run_kill_worker_scenario(
         equivalent,
         elapsed,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(kind: FaultKind, verdict: ChaosVerdict, equivalent: Option<bool>) -> ChaosResult {
+        ChaosResult {
+            seed: 42,
+            case: "lo2_put_put_inwindow_target_race".to_string(),
+            plan: FaultPlan::new(kind, 1, 17),
+            verdict,
+            respawns: 2,
+            equivalent,
+            elapsed: Duration::from_millis(5),
+        }
+    }
+
+    /// Byte-exact `rma-chaos --json` lines.
+    #[test]
+    fn golden_json_lines() {
+        let kill = FaultKind::KillWorker { times: 3 };
+        let line = |kind, verdict, equivalent| result(kind, verdict, equivalent).to_json();
+        assert_eq!(
+            line(kill, ChaosVerdict::Raced, Some(false)),
+            concat!(
+                r#"{"seed":42,"case":"lo2_put_put_inwindow_target_race","fault":"kill-worker","#,
+                r#""rank":1,"at_event":17,"times":3,"verdict":"raced","respawns":2,"#,
+                r#""equivalent":false}"#,
+            )
+        );
+        assert_eq!(
+            line(kill, ChaosVerdict::DetectorLost, None),
+            concat!(
+                r#"{"seed":42,"case":"lo2_put_put_inwindow_target_race","fault":"kill-worker","#,
+                r#""rank":1,"at_event":17,"times":3,"verdict":"detector-lost","respawns":2,"#,
+                r#""equivalent":null}"#,
+            )
+        );
+        assert_eq!(
+            line(FaultKind::Crash, ChaosVerdict::Crashed, None),
+            concat!(
+                r#"{"seed":42,"case":"lo2_put_put_inwindow_target_race","fault":"crash","#,
+                r#""rank":1,"at_event":17,"times":0,"verdict":"crashed","respawns":2,"#,
+                r#""equivalent":null}"#,
+            )
+        );
+        assert_eq!(
+            line(FaultKind::StallSends, ChaosVerdict::Clean, Some(false)),
+            concat!(
+                r#"{"seed":42,"case":"lo2_put_put_inwindow_target_race","fault":"stall-sends","#,
+                r#""rank":1,"at_event":17,"times":0,"verdict":"clean","respawns":2,"#,
+                r#""equivalent":false}"#,
+            )
+        );
+    }
 }
