@@ -159,6 +159,29 @@ for CUT in 40 50; do
     echo "    cut $CUT: $SALVAGE_LINE"
 done
 
+echo "==> hostile header: an out-of-range rank count is unsalvageable, never an abort"
+# 17 bytes: magic, version 2, nranks = u32::MAX, seed 0, an empty app
+# and an empty string table. Readers size per-rank tables from the
+# header, so both tolerant entry points must reject it as a structured
+# error (the CLI's error status is 2), not die allocating (status 134).
+printf 'RMATRC01\002\377\377\377\377\017\000\000\000' > "$SMOKE_DIR/hostile.rmatrc"
+if [ "$(wc -c < "$SMOKE_DIR/hostile.rmatrc")" -ne 17 ]; then
+    echo "ERROR: hostile header is not 17 bytes" >&2
+    exit 1
+fi
+for CMD in salvage "replay --tolerate-truncation"; do
+    STATUS=0
+    # shellcheck disable=SC2086 # CMD is deliberately split into subcommand + flag
+    HOSTILE_ERR=$(timeout 60 "$RMA_TRACE" $CMD "$SMOKE_DIR/hostile.rmatrc" 2>&1 > /dev/null) \
+        || STATUS=$?
+    case "$STATUS:$HOSTILE_ERR" in
+        2:*unsalvageable*) echo "    $CMD: $HOSTILE_ERR" ;;
+        *)
+            echo "ERROR: $CMD on the hostile header exited $STATUS: $HOSTILE_ERR" >&2
+            exit 1 ;;
+    esac
+done
+
 echo "==> differential campaign: store engines and the delivery x batch grid"
 # Engine-vs-tree store equivalence (flat, blocked and the promoting
 # adaptive store against FragMergeStore: exact verdicts, snapshots and

@@ -45,12 +45,12 @@ mod transport;
 pub use clock::VClock;
 
 use rma_substrate::sync::Mutex;
-use rma_core::{AccessKind, Interval, RaceReport, RankId, SrcLoc};
+use rma_core::RaceReport;
 use rma_sim::{HookResult, LocalEvent, Monitor, RankId as SimRankId, RmaEvent, WinId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use transport::{AnalysisState, JournalEntry, OwnedAccess, Quiescence, Supervisor};
+use transport::{AnalysisState, OwnedAccess, Quiescence, Supervisor};
 
 /// What to do on a detected race (mirrors `rma-monitor`'s policy).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -131,52 +131,6 @@ impl Completeness {
                 format!("partial:{processed}/{target}")
             }
         }
-    }
-}
-
-/// Plain-data view of one journaled shadow access (one half of a shipped
-/// operation, or one inline local access). Exposed for diagnostics; the
-/// `rma-trace` journal module encodes these with the v2 varint layer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JournalRecord {
-    /// Sequence number for shipped operation halves; `None` for inline
-    /// local records (locals are not shipped, hence never deduped).
-    pub seq: Option<u64>,
-    /// Rank whose shadow memory the access hits.
-    pub shadow_of: u32,
-    /// Addresses touched.
-    pub interval: Interval,
-    /// Clock component performing the access.
-    pub component: u32,
-    /// That component's epoch at access time.
-    pub epoch: u64,
-    /// The owned clock copy the entry replays with.
-    pub clock: Vec<u64>,
-    /// Write access?
-    pub write: bool,
-    /// Element-wise-atomic access?
-    pub atomic: bool,
-    /// Report kind.
-    pub kind: AccessKind,
-    /// Issuing rank.
-    pub issuer: RankId,
-    /// Source location.
-    pub loc: SrcLoc,
-}
-
-fn record_of(seq: Option<u64>, a: &OwnedAccess) -> JournalRecord {
-    JournalRecord {
-        seq,
-        shadow_of: a.shadow_of as u32,
-        interval: a.interval,
-        component: a.component as u32,
-        epoch: a.epoch,
-        clock: a.clock.0.clone(),
-        write: a.write,
-        atomic: a.atomic,
-        kind: a.kind,
-        issuer: a.issuer,
-        loc: a.loc,
     }
 }
 
@@ -288,25 +242,11 @@ impl MustRma {
         self.supervisor.sabotage();
     }
 
-    /// Plain-data snapshot of the supervisor's in-flight journal: every
-    /// shadow-affecting event retained since the last epoch-boundary
-    /// checkpoint (shipped operation halves carry their sequence
-    /// number). Diagnostics; see `rma_trace::journal` for the on-disk
-    /// encoding.
-    pub fn journal_records(&self) -> Vec<JournalRecord> {
-        self.supervisor.journal_view(|entries| {
-            let mut out = Vec::new();
-            for e in entries {
-                match e {
-                    JournalEntry::Op { seq, pair } => {
-                        out.push(record_of(Some(*seq), &pair[0]));
-                        out.push(record_of(Some(*seq), &pair[1]));
-                    }
-                    JournalEntry::Local(acc) => out.push(record_of(None, acc)),
-                }
-            }
-            out
-        })
+    /// Shadow accesses the supervisor's in-flight journal retains since
+    /// the last epoch-boundary checkpoint: two per shipped operation,
+    /// one per inline local access.
+    pub fn journal_len(&self) -> usize {
+        self.supervisor.journal_len()
     }
 
     /// Waits until the worker has processed everything shipped so far —
@@ -575,6 +515,6 @@ mod tests {
         assert_eq!(d.shadow_footprint(), (0, 0));
         assert_eq!(d.completeness(), Completeness::Complete);
         assert_eq!(d.respawns(), 0);
-        assert!(d.journal_records().is_empty());
+        assert_eq!(d.journal_len(), 0);
     }
 }

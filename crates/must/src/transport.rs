@@ -530,10 +530,18 @@ impl Supervisor {
         true
     }
 
-    /// Plain-data view of the current journal (diagnostics; encoded
-    /// offline by `rma-trace`'s journal module).
-    pub fn journal_view<T>(&self, f: impl Fn(&[JournalEntry]) -> T) -> T {
-        f(&self.inner.lock().journal)
+    /// Shadow accesses in the current journal: two per operation, one
+    /// per local.
+    pub fn journal_len(&self) -> usize {
+        let inner = self.inner.lock();
+        inner
+            .journal
+            .iter()
+            .map(|e| match e {
+                JournalEntry::Op { .. } => 2,
+                JournalEntry::Local(_) => 1,
+            })
+            .sum()
     }
 }
 

@@ -3,7 +3,7 @@
 //! blind spot).
 
 use rma_must::{Completeness, MustCfg, MustRma, OnRace};
-use rma_sim::{RankId, World, WorldCfg};
+use rma_sim::{FaultKind, FaultPlan, Monitor, RankId, World, WorldCfg};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -208,6 +208,9 @@ fn target_store_vs_put_detected() {
     assert!(raced);
 }
 
+/// Message tag rank 1 sends once its epoch is closed.
+const EPOCH_CLOSED: u32 = 7;
+
 /// A dead analysis worker must not hang the epoch close: the bounded
 /// quiescence wait detects the death within one poll and converts it
 /// into a structured world abort (a recorded rank panic), never an
@@ -230,11 +233,16 @@ fn dead_worker_aborts_unlock_all_instead_of_hanging() {
         if ctx.rank() == RankId(0) {
             // Kill the worker, then ship an operation it will never
             // analyze; the unlock_all quiescence must notice, not wait.
+            // Rank 1's message says its own epoch is already closed, so
+            // rank 0's is the only quiescence that meets the doomed put.
             sab.sabotage_worker_for_tests();
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            ctx.recv(Some(RankId(1)), EPOCH_CLOSED);
             ctx.put(&buf, 0, 8, RankId(1), 0, win);
+            ctx.win_unlock_all(win);
+        } else {
+            ctx.win_unlock_all(win);
+            ctx.send(RankId(0), EPOCH_CLOSED, vec![]);
         }
-        ctx.win_unlock_all(win);
     });
     assert!(
         started.elapsed() < std::time::Duration::from_secs(20),
@@ -385,12 +393,46 @@ fn journal_prunes_at_epoch_checkpoints() {
         ctx.win_unlock_all(win);
         ctx.barrier();
         if ctx.rank() == RankId(0) {
-            assert!(
-                probe.journal_records().is_empty(),
-                "post-barrier checkpoint must prune the journal"
-            );
+            assert_eq!(probe.journal_len(), 0, "post-barrier checkpoint must prune the journal");
         }
         ctx.barrier();
     });
     assert!(out.is_clean(), "outcome: {out:?}");
+}
+
+/// Killing the worker with no respawn budget right after two operations
+/// shipped aborts the run, and the journal keeps both unacknowledged
+/// operations: two shadow accesses each.
+///
+/// A single-rank world with self-targeted operations keeps the scenario
+/// deterministic: the ships, the kill and the (never-reached) epoch
+/// boundary that would prune the journal are all ordered by the one
+/// rank's program order.
+#[test]
+fn aborted_run_journal_retains_unacknowledged_operations() {
+    let probe = Arc::new(MustRma::with_cfg(
+        1,
+        MustCfg {
+            on_race: OnRace::Collect,
+            max_respawns: 0,
+            quiescence_deadline: Duration::from_secs(5),
+        },
+    ));
+    // Event 6 lands after both one-sided operations shipped (events 4
+    // and 5) and before the unlock that would checkpoint-prune them.
+    let cfg = WorldCfg {
+        fault: Some(FaultPlan { rank: 0, at_event: 6, kind: FaultKind::KillWorker { times: 1 } }),
+        watchdog_ms: 10_000,
+        ..WorldCfg::with_ranks(1)
+    };
+    let out = World::run(cfg, probe.clone() as Arc<dyn Monitor>, |ctx| {
+        let win = ctx.win_allocate(32);
+        let buf = ctx.alloc(16);
+        ctx.win_lock_all(win);
+        ctx.get(&buf, 0, 8, RankId(0), 0, win);
+        ctx.put(&buf, 8, 8, RankId(0), 16, win);
+        ctx.win_unlock_all(win);
+    });
+    assert!(!out.is_clean(), "budget-0 kill must abort the run");
+    assert_eq!(probe.journal_len(), 4, "two unacknowledged operations, two accesses each");
 }

@@ -5,7 +5,7 @@
 use rma_served::{check_stats_json, ChaosCfg, ServeCfg, Service, StreamReport, Tier};
 use rma_sim::FaultKind;
 use rma_suite::{generate_suite, run_case_with_monitor};
-use rma_trace::{replay, verdict_line, Detector, TraceWriter};
+use rma_trace::{replay, verdict_line, Detector, Trace, TraceWriter, MAGIC};
 use std::sync::{Arc, OnceLock};
 
 struct CaseRec {
@@ -207,4 +207,34 @@ fn truncated_and_malformed_streams_are_structured() {
     let (stats, _) = svc.shutdown();
     assert_eq!(stats.tenants["trunc"].streams, 2);
     check_stats_json(&stats.to_json()).unwrap();
+}
+
+/// A header declaring `u32::MAX` ranks (17 bytes: magic, version 2, the
+/// rank count, seed 0, an empty app and an empty string table) is a
+/// malformed stream, not a per-rank allocation that aborts the process;
+/// the service then serves the next stream as usual.
+#[test]
+fn an_oversized_rank_count_is_malformed_and_the_service_goes_on() {
+    let mut hostile = MAGIC.to_vec();
+    hostile.extend_from_slice(&[2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0]);
+    assert_eq!(hostile.len(), 17);
+    let svc = Service::new(ServeCfg { workers: 1, ..Default::default() });
+    let h = svc.submit("hostile", "ranks").unwrap();
+    h.feed(hostile).unwrap();
+    let rep = h.finish().unwrap();
+    assert_eq!(rep.tier, Tier::Malformed, "verdict: {}", rep.verdict);
+    assert!(rep.verdict.contains("rank count out of range"), "verdict: {}", rep.verdict);
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/lo2_accum_put_inwindow_target_race.rmatrc"
+    );
+    let bytes = std::fs::read(path).unwrap();
+    let direct = replay(&Trace::decode(&bytes).unwrap(), Detector::FragMerge);
+    let h = svc.submit("hostile", "corpus").unwrap();
+    h.feed(bytes).unwrap();
+    let rep = h.finish().unwrap();
+    assert_eq!(rep.tier, Tier::Racy);
+    assert_eq!(rep.verdict, verdict_line(&direct.races));
+    svc.shutdown();
 }

@@ -219,7 +219,9 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         if let Some(diag) = rep.diagnosis {
             eprintln!(
                 "warning: {path}: {diag}; salvaged {} events / {} epoch(s), dropped {}",
-                rep.recovered_events, rep.epochs_kept, rep.dropped_events
+                rep.trace.event_count(),
+                rep.epochs_kept,
+                rep.dropped_events
             );
         }
         rep.trace
@@ -320,10 +322,12 @@ fn cmd_salvage(args: &[String]) -> Result<ExitCode, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let rep = salvage(&bytes).map_err(|e| format!("{path}: unsalvageable: {e}"))?;
     match &rep.diagnosis {
-        None => println!("{path}: intact ({} events, nothing to do)", rep.recovered_events),
+        None => println!("{path}: intact ({} events, nothing to do)", rep.trace.event_count()),
         Some(diag) => println!(
             "{path}: {diag}; recovered {} events across {} complete epoch(s), dropped {} decoded events",
-            rep.recovered_events, rep.epochs_kept, rep.dropped_events
+            rep.trace.event_count(),
+            rep.epochs_kept,
+            rep.dropped_events
         ),
     }
     if let Some(out) = out {

@@ -18,16 +18,19 @@
 //!
 //! The format itself (varint/delta records, per-rank streams, epoch
 //! index for seeking, checksummed trailer) is documented in
-//! [`format`] and [`trace`], and in DESIGN.md. The `rma-trace` CLI
-//! (`record` / `replay` / `stat` / `diff` / `bench`) lives in this
-//! crate's `bin` target.
+//! [`format`] and [`trace`], and in DESIGN.md. Every reader shares the
+//! per-record decoder [`format::decode_event`]. Whole-file reads
+//! ([`Trace::decode`], [`Trace::decode_from_epoch`]) walk the footer's
+//! stream index; `Finish`-delimited streams without a trailer are read
+//! by the chunk-fed [`StreamDecoder`] alone, and [`salvage`] ends in the
+//! same [`StreamEnd`] it does. The `rma-trace` CLI (`record` / `replay`
+//! / `stat` / `diff` / `bench`) lives in this crate's `bin` target.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod format;
 pub mod gentest;
-pub mod journal;
 pub mod minimize;
 pub mod replay;
 pub mod salvage;
@@ -43,7 +46,7 @@ pub use replay::{
     canonical_verdict, replay, replay_trace, verdict_line, Detector, MustTarget, ReplayOutcome,
     ReplayTarget, StoreTarget,
 };
-pub use salvage::{salvage, SalvageReport};
+pub use salvage::salvage;
 pub use stream::{StreamDecoder, StreamEnd};
 pub use trace::{EpochMark, Trace, TraceHeader, FORMAT_VERSION, MAGIC, TAIL_MAGIC};
 pub use writer::TraceWriter;

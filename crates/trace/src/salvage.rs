@@ -10,20 +10,22 @@
 //! 2. **Damaged body, intact trailer** (bit flip → `BadChecksum`): the
 //!    footer's stream index still parses, so each rank's stream is
 //!    decoded independently up to its first undecodable record.
-//! 3. **Destroyed trailer** (truncation → `Truncated`): the streams are
-//!    decoded sequentially from the end of the header, splitting at each
-//!    `Finish`, until the bytes run out or stop making sense. Requires
-//!    v2 — a v1 file keeps its string table in the (lost) footer and is
-//!    reported unsalvageable.
+//! 3. **Destroyed trailer** (truncation → `Truncated`): the whole file is
+//!    fed to one [`StreamDecoder`], which reads the streams in order
+//!    from the end of the header, splitting at each `Finish`, until the
+//!    bytes run out or stop making sense. Requires v2 — a v1 file keeps
+//!    its string table in the (lost) footer and is reported
+//!    unsalvageable.
 //!
-//! The raw recovered streams are then **epoch-aligned**: unless every
-//! rank's stream ends in `Finish`, each stream is cut after its `k`-th
-//! epoch-closing record, where `k` is the minimum close count over all
-//! ranks. For the SPMD programs this tracer records, all ranks execute
-//! the same collective/epoch skeleton, so the aligned prefix is a
-//! consistent global state that replays to completion — the per-epoch
-//! verdicts of the salvaged prefix match the original trace's first `k`
-//! epochs exactly (nothing is re-ordered, only truncated).
+//! The outcome is a [`StreamEnd`], the same type the chunk-fed decoder
+//! ends in, built the same way: unless every rank's stream ends in
+//! `Finish`, each stream is cut after its `k`-th epoch-closing record,
+//! where `k` is the minimum close count over all ranks. For the SPMD
+//! programs this tracer records, all ranks execute the same
+//! collective/epoch skeleton, so the aligned prefix is a consistent
+//! global state that replays to completion — the per-epoch verdicts of
+//! the salvaged prefix match the original trace's first `k` epochs
+//! exactly (nothing is re-ordered, only truncated).
 //!
 //! What salvage can *not* promise: damage in the middle of the byte
 //! stream destroys the tail of the rank it lands in, and — in the
@@ -32,55 +34,24 @@
 //! shortest survivor. Garbage that happens to decode as valid records is
 //! bounded by the epoch cut but cannot be detected record-by-record.
 
-use crate::format::{decode_event, is_epoch_boundary, DeltaState, ResolvedStrings, TraceEvent};
-use crate::trace::{parse_container_unverified, parse_header, Footer, Trace, TraceHeader};
+use crate::format::{decode_event, DeltaState, ResolvedStrings, TraceEvent};
+use crate::stream::{StreamDecoder, StreamEnd};
+use crate::trace::{parse_container_unverified, parse_header, stream_span, Trace};
 use crate::TraceError;
 
-/// Outcome of a [`salvage`] run: the recovered (epoch-aligned) trace
-/// plus enough numbers to judge how much was lost.
-#[derive(Debug)]
-pub struct SalvageReport {
-    /// The recovered prefix, re-encodable and replayable like any trace.
-    pub trace: Trace,
-    /// Why the full decode failed — `None` when the file was intact and
-    /// salvage was a no-op.
-    pub diagnosis: Option<TraceError>,
-    /// Events in `trace` (post-alignment).
-    pub recovered_events: usize,
-    /// Closed epochs every rank retains (`usize::MAX`-free: 0 when the
-    /// damage precedes the first epoch close).
-    pub epochs_kept: usize,
-    /// Events decoded from the damaged file but discarded by the epoch
-    /// alignment. The events destroyed by the damage itself are unknown
-    /// and not counted.
-    pub dropped_events: usize,
-}
-
-/// Recovers the longest decodable epoch-prefix of `bytes`.
+/// Recovers the longest decodable epoch-prefix of `bytes`. An intact
+/// file comes back whole with no diagnosis; a damaged one comes back
+/// epoch-aligned, diagnosed with the whole-file decode's error.
 ///
 /// Errors only when nothing can be recovered *structurally*: not a trace
-/// file at all (`BadMagic`), a format from the future (`BadVersion`), or
-/// a v1 file whose footer — and with it the string table — is gone. A
-/// damaged-but-salvageable file returns `Ok` even when the recovered
-/// prefix is empty (damage before the first epoch close).
-pub fn salvage(bytes: &[u8]) -> Result<SalvageReport, TraceError> {
+/// file at all (`BadMagic`), a format from the future (`BadVersion`), a
+/// header that does not parse, or a v1 file whose footer — and with it
+/// the string table — is gone. A damaged-but-salvageable file returns
+/// `Ok` even when the recovered prefix is empty (damage before the first
+/// epoch close).
+pub fn salvage(bytes: &[u8]) -> Result<StreamEnd, TraceError> {
     let primary = match Trace::decode(bytes) {
-        Ok(trace) => {
-            let recovered_events = trace.event_count();
-            let epochs_kept = trace
-                .streams
-                .iter()
-                .map(|s| s.iter().filter(|e| is_epoch_boundary(e)).count())
-                .min()
-                .unwrap_or(0);
-            return Ok(SalvageReport {
-                trace,
-                diagnosis: None,
-                recovered_events,
-                epochs_kept,
-                dropped_events: 0,
-            });
-        }
+        Ok(trace) => return Ok(StreamEnd::new(trace.header, trace.streams, None)),
         // Not this container / cannot ever decode the records: give up.
         Err(e @ (TraceError::BadMagic | TraceError::BadVersion(_))) => return Err(e),
         Err(e) => e,
@@ -88,167 +59,61 @@ pub fn salvage(bytes: &[u8]) -> Result<SalvageReport, TraceError> {
 
     // Both recovery layers need the header; if even that is gone there
     // is nothing to anchor a decode to.
-    let (header, header_strings, body_start) = parse_header(bytes)?;
+    let (header, _, _) = parse_header(bytes)?;
 
     // Layer 2: trailer survived (e.g. a bit flip tripped the checksum) —
     // use the unverified stream index and decode each rank until its
-    // first bad record.
-    let indexed = parse_container_unverified(bytes)
-        .ok()
-        .map(|(_, footer, _)| decode_indexed(bytes, footer).0);
-
-    // Layer 3: no usable trailer. Streams are concatenated and
-    // `Finish`-delimited, so walk them sequentially — v2 only, since the
-    // decoder needs the string table and v1 kept it in the lost footer.
-    let sequential = if header.version >= 2 {
-        Some(decode_sequential(bytes, body_start, &header, header_strings).0)
-    } else if indexed.is_none() {
-        return Err(primary);
-    } else {
-        None
-    };
-
-    // Prefer whichever layer recovered more.
-    let count = |ss: &Vec<Vec<TraceEvent>>| ss.iter().map(Vec::len).sum::<usize>();
-    let raw = match (indexed, sequential) {
-        (Some(a), Some(b)) => {
-            if count(&a) >= count(&b) {
-                a
-            } else {
-                b
-            }
-        }
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => return Err(primary),
-    };
-
-    let decoded = count(&raw);
-    let (streams, epochs_kept) = align_to_epochs(raw, header.nranks as usize);
-    let recovered_events = count(&streams);
-    Ok(SalvageReport {
-        trace: Trace { header, streams },
-        diagnosis: Some(primary),
-        recovered_events,
-        epochs_kept,
-        dropped_events: decoded - recovered_events,
-    })
-}
-
-/// Salvage layer 2: decodes each rank's stream through the footer's
-/// (unverified) stream index up to its first undecodable record. One
-/// string table serves the whole file. Returns the streams and the
-/// first record error met, in rank order.
-fn decode_indexed(bytes: &[u8], footer: Footer) -> (Vec<Vec<TraceEvent>>, Option<TraceError>) {
-    let mut strings = ResolvedStrings::new(footer.strings);
-    let mut first_error = None;
-    let mut streams = Vec::new();
-    for &(off, len, _) in &footer.stream_index {
-        let mut events = Vec::new();
-        let start = usize::try_from(off).unwrap_or(usize::MAX);
-        let end = start.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
-        if let Some(body) = bytes.get(start..end.min(bytes.len())) {
+    // first bad record. One string table serves the whole file.
+    let indexed = parse_container_unverified(bytes).ok().map(|(_, footer, _)| {
+        let mut strings = ResolvedStrings::new(footer.strings);
+        let decode_span = |&(off, len, _): &(u64, u64, u64)| {
+            let body = stream_span(bytes, off, len).unwrap_or_else(|part| part);
+            let mut events = Vec::new();
             let mut pos = 0;
             let mut state = DeltaState::default();
             while pos < body.len() {
                 match decode_event(body, &mut pos, &mut state, &mut strings) {
                     Ok(ev) => events.push(ev),
-                    Err(e) => {
-                        first_error.get_or_insert(e);
-                        break;
-                    }
+                    Err(_) => break,
                 }
             }
-        }
-        streams.push(events);
-    }
-    (streams, first_error)
-}
+            events
+        };
+        footer.stream_index.iter().map(decode_span).collect::<Vec<Vec<TraceEvent>>>()
+    });
 
-/// Salvage layer 3: decodes concatenated streams from `start`, splitting
-/// at `Finish` (which is where the encoder's delta state would be
-/// abandoned anyway), stopping at the first undecodable record or once
-/// all `nranks` streams have closed — whichever comes first. Trailing
-/// footer bytes in a mid-footer truncation are thereby never misread as
-/// records. Returns the streams and the record error it stopped at, if
-/// any.
-fn decode_sequential(
-    bytes: &[u8],
-    start: usize,
-    header: &TraceHeader,
-    strings: Vec<String>,
-) -> (Vec<Vec<TraceEvent>>, Option<TraceError>) {
-    let mut strings = ResolvedStrings::new(strings);
-    let mut streams: Vec<Vec<TraceEvent>> = Vec::new();
-    let mut cur: Vec<TraceEvent> = Vec::new();
-    let mut state = DeltaState::default();
-    let mut pos = start;
-    let mut error = None;
-    while pos < bytes.len() && streams.len() < header.nranks as usize {
-        match decode_event(bytes, &mut pos, &mut state, &mut strings) {
-            Ok(ev) => {
-                let finished = matches!(ev, TraceEvent::Finish);
-                cur.push(ev);
-                if finished {
-                    streams.push(std::mem::take(&mut cur));
-                    state = DeltaState::default();
-                }
-            }
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    if !cur.is_empty() {
-        streams.push(cur);
-    }
-    (streams, error)
-}
+    // Layer 3: no usable trailer — the chunk-fed decoder, fed the whole
+    // file. v2 only, since the decoder needs the string table and v1
+    // kept it in the lost footer.
+    let sequential = if header.version >= 2 {
+        let mut dec = StreamDecoder::new();
+        dec.feed(bytes)?;
+        Some(dec.finish()?)
+    } else {
+        None
+    };
 
-/// Cuts every stream after its `k`-th epoch-closing record, `k` being
-/// the minimum close count across ranks — except when every rank ran to
-/// `Finish`, where the damage evidently spared the records and nothing
-/// needs trimming. Missing streams are padded so the trace always has
-/// `nranks` of them. Shared with the incremental [`crate::stream`]
-/// decoder, whose truncated endings need the same consistent cut.
-pub(crate) fn align_to_epochs(
-    mut streams: Vec<Vec<TraceEvent>>,
-    nranks: usize,
-) -> (Vec<Vec<TraceEvent>>, usize) {
-    streams.truncate(nranks);
-    streams.resize_with(nranks, Vec::new);
-    let closes = |s: &[TraceEvent]| s.iter().filter(|e| is_epoch_boundary(e)).count();
-    let k = streams.iter().map(|s| closes(s)).min().unwrap_or(0);
-    let complete = !streams.is_empty()
-        && streams.iter().all(|s| matches!(s.last(), Some(TraceEvent::Finish)));
-    if complete {
-        return (streams, k);
-    }
-    for s in &mut streams {
-        if k == 0 {
-            s.clear();
-            continue;
+    // Prefer whichever layer decoded more records (the index on a tie).
+    let end = match (indexed, sequential) {
+        (Some(streams), Some(seq))
+            if streams.iter().map(Vec::len).sum::<usize>() < seq.decoded_events =>
+        {
+            seq
         }
-        let mut seen = 0usize;
-        let cut = s
-            .iter()
-            .position(|e| {
-                if is_epoch_boundary(e) {
-                    seen += 1;
-                }
-                seen == k
-            })
-            .map_or(0, |i| i + 1);
-        s.truncate(cut);
-    }
-    (streams, k)
+        (Some(streams), _) => return Ok(StreamEnd::new(header, streams, Some(primary))),
+        (None, Some(seq)) => seq,
+        (None, None) => return Err(primary),
+    };
+    // The decoder may have read every stream to `Finish` (a cut in the
+    // footer); the file is damaged all the same.
+    Ok(StreamEnd { complete: false, diagnosis: Some(primary), ..end })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::FORMAT_VERSION;
+    use crate::format::is_epoch_boundary;
+    use crate::trace::{TraceHeader, FORMAT_VERSION};
     use rma_core::{Interval, SrcLoc};
     use rma_sim::WinId;
 
@@ -415,14 +280,6 @@ mod tests {
             dec.feed(piece).unwrap();
         }
         assert_eq!(dec.finish().unwrap().diagnosis, Some(want), "stream");
-        let (_, footer, _) = parse_container_unverified(&bytes).unwrap();
-        assert_eq!(decode_indexed(&bytes, footer).1, Some(want), "salvage, indexed");
-        let (header, strings, body_start) = parse_header(&bytes).unwrap();
-        assert_eq!(
-            decode_sequential(&bytes, body_start, &header, strings).1,
-            Some(want),
-            "salvage, sequential"
-        );
         assert_eq!(salvage(&bytes).unwrap().diagnosis, Some(want));
     }
 

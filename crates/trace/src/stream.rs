@@ -1,23 +1,25 @@
-//! Incremental, chunk-feedable trace decoding for streaming ingest.
+//! Incremental, chunk-feedable trace decoding — the one reader of
+//! `Finish`-delimited record streams.
 //!
 //! [`Trace::decode`] wants the whole file: it verifies the trailer
 //! checksum and walks the footer indexes. A serving system cannot wait
 //! for the trailer — it receives a trace as an open-ended sequence of
 //! byte chunks and wants events (and progress accounting) as they
-//! arrive. [`StreamDecoder`] fills that gap by reusing the salvage
-//! layer's sequential decode: record streams are self-delimiting
-//! (`Finish`-terminated) and, from format v2, the string table lives in
-//! the *header*, so every record can be decoded the moment its bytes
-//! are in. The trailer is never required — a stream that simply stops
-//! ends in a structured, epoch-aligned truncation outcome, exactly like
-//! [`crate::salvage`], never a panic and never an unbounded wait.
+//! arrive. [`StreamDecoder`] fills that gap: record streams are
+//! self-delimiting (`Finish`-terminated) and, from format v2, the string
+//! table lives in the *header*, so every record can be decoded the
+//! moment its bytes are in. The trailer is never required — a stream
+//! that simply stops ends in a structured, epoch-aligned truncation
+//! outcome, never a panic and never an unbounded wait. Salvage's
+//! sequential layer is this decoder fed the whole damaged file, and
+//! [`StreamEnd`] is the outcome type of both.
 //!
 //! v1 files keep their string table in the footer and therefore cannot
 //! be decoded incrementally; the decoder detects the version from the
-//! header and falls back to buffering a v1 stream whole, decoding it at
-//! [`StreamDecoder::finish`]. v2 chunks are dropped as soon as they are
-//! decoded, so a well-formed v2 stream is ingested in O(largest record)
-//! memory on top of the decoded events.
+//! header and falls back to buffering a v1 stream whole, handing it to
+//! [`crate::salvage`] at [`StreamDecoder::finish`]. v2 chunks are
+//! dropped as soon as they are decoded, so a well-formed v2 stream is
+//! ingested in O(largest record) memory on top of the decoded events.
 //!
 //! Trade-off (shared with salvage layer 3): skipping the trailer means
 //! skipping the checksum. A bit flip inside a v2 record region either
@@ -26,7 +28,6 @@
 //! here, the format's only for whole-file reads.
 
 use crate::format::{decode_event, is_epoch_boundary, DeltaState, ResolvedStrings, TraceEvent};
-use crate::salvage::align_to_epochs;
 use crate::trace::{parse_header, Trace, TraceHeader};
 use crate::TraceError;
 
@@ -38,9 +39,10 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct StreamEnd {
     /// The decoded trace — complete, or the epoch-aligned prefix of a
-    /// truncated/corrupt stream (same alignment rule as salvage).
+    /// truncated/corrupt stream.
     pub trace: Trace,
-    /// `true` when every rank's stream ran to `Finish`.
+    /// `true` when nothing was found wrong: every rank's stream ran to
+    /// `Finish` (salvage: the whole-file decode succeeded).
     pub complete: bool,
     /// Why the stream fell short — `None` when complete.
     pub diagnosis: Option<TraceError>,
@@ -50,6 +52,54 @@ pub struct StreamEnd {
     pub epochs_kept: usize,
     /// Decoded events discarded by the epoch alignment.
     pub dropped_events: usize,
+}
+
+impl StreamEnd {
+    /// The outcome for decoded `streams`. With no `diagnosis` they are
+    /// kept whole. Otherwise they are padded or cut to `nranks` and,
+    /// unless every one ran to `Finish`, each is cut after its `k`-th
+    /// epoch-closing record, `k` being the minimum close count across
+    /// ranks — the consistent global state salvage promises.
+    pub(crate) fn new(
+        header: TraceHeader,
+        mut streams: Vec<Vec<TraceEvent>>,
+        diagnosis: Option<TraceError>,
+    ) -> StreamEnd {
+        let decoded_events = streams.iter().map(Vec::len).sum();
+        if diagnosis.is_some() {
+            streams.truncate(header.nranks as usize);
+            streams.resize_with(header.nranks as usize, Vec::new);
+        }
+        let epochs_kept = streams
+            .iter()
+            .map(|s| s.iter().filter(|e| is_epoch_boundary(e)).count())
+            .min()
+            .unwrap_or(0);
+        let finished = !streams.is_empty()
+            && streams.iter().all(|s| matches!(s.last(), Some(TraceEvent::Finish)));
+        if diagnosis.is_some() && !finished {
+            for s in &mut streams {
+                // Keep through the `epochs_kept`-th close (none when 0).
+                let keep = s
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| is_epoch_boundary(e))
+                    .map(|(i, _)| i + 1)
+                    .take(epochs_kept)
+                    .last();
+                s.truncate(keep.unwrap_or(0));
+            }
+        }
+        let trace = Trace { header, streams };
+        StreamEnd {
+            dropped_events: decoded_events - trace.event_count(),
+            trace,
+            complete: diagnosis.is_none(),
+            diagnosis,
+            decoded_events,
+            epochs_kept,
+        }
+    }
 }
 
 /// Incremental decoder: feed byte chunks as they arrive, read events
@@ -125,12 +175,15 @@ impl StreamDecoder {
     /// Feeds the next chunk, decoding every record it completes.
     /// Returns the number of newly decoded events.
     ///
-    /// Only *structural* rejections error here — not a trace file at
-    /// all (`BadMagic`) or a format from the future (`BadVersion`).
-    /// Everything else is recoverable-in-principle until the producer
-    /// stops: a record cut mid-chunk simply waits for more bytes, and a
-    /// genuinely corrupt record poisons the decode at its position, to
-    /// be reported (with the events before it intact) by `finish`.
+    /// Only a header that can never parse errors here — not a trace
+    /// file at all (`BadMagic`), a format from the future
+    /// (`BadVersion`), or a corrupt field such as a rank count above
+    /// [`crate::trace::MAX_RANKS`]. The error is final: later chunks are
+    /// ignored, not buffered. Everything else is recoverable-in-principle
+    /// until the producer stops: a header or record cut mid-chunk simply
+    /// waits for more bytes, and a genuinely corrupt record poisons the
+    /// decode at its position, to be reported (with the events before it
+    /// intact) by `finish`.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<usize, TraceError> {
         if self.poisoned.is_some() || self.is_complete() {
             // A poisoned or complete v2 decode ignores further bytes
@@ -146,12 +199,14 @@ impl StreamDecoder {
                     self.strings = ResolvedStrings::new(strings);
                     self.consumed = body_start;
                 }
-                // Permanent: more bytes cannot fix the first 8 bytes or
-                // lower the version.
-                Err(e @ (TraceError::BadMagic | TraceError::BadVersion(_))) => return Err(e),
-                // Short (or garbled-short) header: wait for more bytes;
-                // `finish` classifies if they never come.
-                Err(_) => return Ok(0),
+                // Short header: wait for more bytes; `finish` classifies
+                // if they never come.
+                Err(TraceError::Truncated) => return Ok(0),
+                // Permanent: more bytes cannot fix a field already read.
+                Err(e) => {
+                    self.poisoned = Some(e);
+                    return Err(e);
+                }
             }
         }
         if self.legacy {
@@ -209,60 +264,15 @@ impl StreamDecoder {
         if self.legacy {
             // v1: the string table lived at the end; decode (or salvage)
             // now that the end has arrived.
-            return match Trace::decode(&self.buf) {
-                Ok(trace) => Ok(complete_end(trace)),
-                Err(_) => {
-                    let rep = crate::salvage(&self.buf)?;
-                    let complete = rep.diagnosis.is_none();
-                    Ok(StreamEnd {
-                        decoded_events: rep.recovered_events + rep.dropped_events,
-                        epochs_kept: rep.epochs_kept,
-                        dropped_events: rep.dropped_events,
-                        complete,
-                        diagnosis: rep.diagnosis,
-                        trace: rep.trace,
-                    })
-                }
-            };
+            return crate::salvage(&self.buf);
         }
+        let diagnosis = (self.closed.len() < header.nranks as usize)
+            .then(|| self.poisoned.unwrap_or(TraceError::Truncated));
         let mut streams = self.closed;
-        let complete = streams.len() >= header.nranks as usize;
-        if complete {
-            let trace = Trace { header, streams };
-            return Ok(complete_end(trace));
-        }
         if !self.cur.is_empty() {
             streams.push(self.cur);
         }
-        let (streams, epochs_kept) = align_to_epochs(streams, header.nranks as usize);
-        let recovered: usize = streams.iter().map(Vec::len).sum();
-        Ok(StreamEnd {
-            trace: Trace { header, streams },
-            complete: false,
-            diagnosis: Some(self.poisoned.unwrap_or(TraceError::Truncated)),
-            decoded_events: self.decoded_events,
-            epochs_kept,
-            dropped_events: self.decoded_events - recovered,
-        })
-    }
-}
-
-/// Wraps a fully decoded trace in a `StreamEnd`.
-fn complete_end(trace: Trace) -> StreamEnd {
-    let decoded_events = trace.event_count();
-    let epochs_kept = trace
-        .streams
-        .iter()
-        .map(|s| s.iter().filter(|e| is_epoch_boundary(e)).count())
-        .min()
-        .unwrap_or(0);
-    StreamEnd {
-        trace,
-        complete: true,
-        diagnosis: None,
-        decoded_events,
-        epochs_kept,
-        dropped_events: 0,
+        Ok(StreamEnd::new(header, streams, diagnosis))
     }
 }
 
@@ -455,6 +465,28 @@ mod tests {
         bytes[8] = 99;
         let mut dec = StreamDecoder::new();
         assert_eq!(dec.feed(&bytes), Err(TraceError::BadVersion(99)));
+    }
+
+    #[test]
+    fn an_oversized_rank_count_is_a_structured_error() {
+        // Magic, version 2, `nranks = u32::MAX`, seed 0, an empty app
+        // and an empty string table: a header that parses but would
+        // size per-rank tables by four billion.
+        let mut bytes = crate::MAGIC.to_vec();
+        bytes.extend_from_slice(&[2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0]);
+        assert_eq!(bytes.len(), 17);
+        let want = TraceError::Corrupt("rank count out of range");
+        let mut dec = StreamDecoder::new();
+        assert_eq!(dec.feed(&bytes), Err(want));
+        // The error is final: later bytes are not buffered.
+        assert_eq!(dec.feed(&[0; 4096]), Ok(0));
+        assert_eq!(dec.buffered_bytes(), bytes.len());
+        assert_eq!(dec.finish().unwrap_err(), want);
+        assert_eq!(crate::salvage(&bytes).unwrap_err(), want);
+        // The largest permitted count still parses.
+        let mut t = sample();
+        t.header.nranks = crate::trace::MAX_RANKS;
+        assert_eq!(parse_header(&t.encode()).unwrap().0.nranks, crate::trace::MAX_RANKS);
     }
 
     #[test]

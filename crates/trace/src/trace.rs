@@ -54,6 +54,8 @@ pub const TAIL_MAGIC: &[u8; 8] = b"RMAT_END";
 /// carries the string table in the header (salvageable); version 1 files
 /// keep decoding.
 pub const FORMAT_VERSION: u64 = 2;
+/// Largest rank count a header may declare.
+pub const MAX_RANKS: u32 = 1 << 16;
 
 /// Identity of a recorded run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -202,11 +204,7 @@ impl Trace {
         let mut strings = ResolvedStrings::new(footer.strings);
         let mut streams = Vec::with_capacity(footer.stream_index.len());
         for &(off, len, count) in &footer.stream_index {
-            let start = usize::try_from(off).map_err(|_| TraceError::Truncated)?;
-            let end = start
-                .checked_add(usize::try_from(len).map_err(|_| TraceError::Truncated)?)
-                .ok_or(TraceError::Truncated)?;
-            let body = bytes.get(start..end).ok_or(TraceError::Truncated)?;
+            let body = stream_span(bytes, off, len).map_err(|_| TraceError::Truncated)?;
             let mut pos = 0;
             let mut state = DeltaState::default();
             // Untrusted count; every record costs at least one byte.
@@ -252,11 +250,7 @@ impl Trace {
             .stream_index
             .get(rank as usize)
             .ok_or(TraceError::Corrupt("rank out of range"))?;
-        let start = usize::try_from(off).map_err(|_| TraceError::Truncated)?;
-        let end = start
-            .checked_add(usize::try_from(len).map_err(|_| TraceError::Truncated)?)
-            .ok_or(TraceError::Truncated)?;
-        let body = bytes.get(start..end).ok_or(TraceError::Truncated)?;
+        let body = stream_span(bytes, off, len).map_err(|_| TraceError::Truncated)?;
         let mut pos = usize::try_from(mark.byte_off).map_err(|_| TraceError::Truncated)?;
         if pos > body.len() {
             return Err(TraceError::Truncated);
@@ -276,11 +270,26 @@ impl Trace {
     }
 }
 
+/// The record bytes the footer's stream index places at `off..off+len`:
+/// `Ok` when the whole span lies inside `bytes`, otherwise `Err` with
+/// the part that does (empty when the span starts past the end). The
+/// whole-file decode and the epoch seek need the whole span; salvage
+/// takes what is there.
+pub(crate) fn stream_span(bytes: &[u8], off: u64, len: u64) -> Result<&[u8], &[u8]> {
+    let start = usize::try_from(off).unwrap_or(usize::MAX);
+    let end = start.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
+    match bytes.get(start..end.min(bytes.len())) {
+        Some(span) if end <= bytes.len() => Ok(span),
+        part => Err(part.unwrap_or_default()),
+    }
+}
+
 /// Parses the file-head structures only: magic, header fields, and (for
 /// v2) the header string table. Never touches the trailer, so it works
 /// on truncated files — the salvage entry point. Returns the header, the
 /// string table (empty for v1), and the byte offset where the record
-/// streams begin.
+/// streams begin. A rank count above [`MAX_RANKS`] is `Corrupt`: every
+/// reader sizes per-rank tables from it before a record is seen.
 pub(crate) fn parse_header(
     bytes: &[u8],
 ) -> Result<(TraceHeader, Vec<String>, usize), TraceError> {
@@ -308,6 +317,9 @@ pub(crate) fn parse_header(
         for _ in 0..nstrings {
             strings.push(read_string(bytes, &mut pos)?);
         }
+    }
+    if nranks > MAX_RANKS {
+        return Err(TraceError::Corrupt("rank count out of range"));
     }
     Ok((TraceHeader { version, nranks, seed, app }, strings, pos))
 }
@@ -370,7 +382,7 @@ fn parse_container_impl(
         }
         strings
     };
-    let mut stream_index = Vec::with_capacity((nranks as usize).min(1 << 16));
+    let mut stream_index = Vec::with_capacity(nranks as usize);
     for _ in 0..nranks {
         let off = read_u64(fbuf, &mut pos)?;
         let len = read_u64(fbuf, &mut pos)?;

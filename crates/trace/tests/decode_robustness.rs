@@ -137,7 +137,7 @@ fn arbitrary_truncations_classify_and_never_panic() {
                 let re = rep.trace.encode();
                 let back = Trace::decode(&re).expect("salvaged trace must round-trip");
                 assert_eq!(back, rep.trace);
-                assert_eq!(rep.trace.event_count(), rep.recovered_events);
+                assert_eq!(rep.trace.event_count(), rep.decoded_events - rep.dropped_events);
             }
         },
     );
