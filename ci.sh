@@ -200,8 +200,8 @@ for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
     rma-trace:replay_fidelity rma-suite:grid_equivalence \
     rma-served:service_replay rma-served:backpressure rma-served:overload \
     rma-served:journal_redelivery rma-served:caller_runs rma-served:dispatch \
-    rma-served:durability rma-substrate:channel_cancel rma-substrate:determinism \
-    rma-sim:faults; do
+    rma-served:durability rma-substrate:channel_cancel rma-substrate:channel_wakes \
+    rma-substrate:determinism rma-sim:faults; do
     PKG=${SUITE%%:*}
     TEST=${SUITE#*:}
     RUN=1

@@ -401,13 +401,16 @@ impl Sched {
         }
     }
 
-    /// The tenant round-robin serves next: the first non-empty tenant
-    /// queue strictly after the cursor, wrapping.
-    fn next_tenant(&self) -> Option<&String> {
+    /// The tenant round-robin serves next: the first non-empty queue
+    /// strictly after `cursor`, wrapping.
+    fn next_tenant<'q>(
+        queues: &'q BTreeMap<String, VecDeque<Arc<Job>>>,
+        cursor: &String,
+    ) -> Option<&'q String> {
         use std::ops::Bound::{Excluded, Included, Unbounded};
-        self.queues
-            .range::<String, _>((Excluded(&self.cursor), Unbounded))
-            .chain(self.queues.range::<String, _>((Unbounded, Included(&self.cursor))))
+        queues
+            .range::<String, _>((Excluded(cursor), Unbounded))
+            .chain(queues.range::<String, _>((Unbounded, Included(cursor))))
             .find(|(_, q)| !q.is_empty())
             .map(|(t, _)| t)
     }
@@ -418,9 +421,10 @@ impl Sched {
         if self.running >= workers {
             return None;
         }
-        let pick = self.next_tenant()?.clone();
-        let job = self.queues.get_mut(&pick).and_then(VecDeque::pop_front)?;
-        self.cursor = pick;
+        let Sched { queues, cursor, .. } = self;
+        // `clone_from` reuses the cursor's buffer: no allocation per pick.
+        cursor.clone_from(Self::next_tenant(queues, cursor)?);
+        let job = queues.get_mut(cursor.as_str()).and_then(VecDeque::pop_front)?;
         self.running += 1;
         Some(job)
     }
@@ -431,7 +435,7 @@ impl Sched {
     /// A granted claim is exactly the [`Sched::take_next`] a worker
     /// would have made.
     fn claim(&mut self, job: &Arc<Job>, workers: usize) -> bool {
-        let next = self.next_tenant().filter(|t| **t == job.tenant);
+        let next = Self::next_tenant(&self.queues, &self.cursor).filter(|t| **t == job.tenant);
         let front = next.and_then(|t| self.queues[t].front());
         front.is_some_and(|j| Arc::ptr_eq(j, job)) && self.take_next(workers).is_some()
     }
@@ -573,12 +577,12 @@ impl Service {
             if quota > 0 && sched.live.iter().filter(|j| j.tenant == tenant).count() >= quota {
                 return Err(ServeError::Quota);
             }
-            sched.queues.entry(tenant.to_string()).or_default().push_back(job.clone());
+            entry_mut(&mut sched.queues, tenant).push_back(job.clone());
             sched.live.push(job.clone());
             let live_now = sched.live.iter().filter(|j| j.tenant == tenant).count();
             drop(sched);
             let mut acc = self.inner.stats.lock();
-            let t = acc.tenants.entry(tenant.to_string()).or_default();
+            let t = entry_mut(&mut acc.tenants, tenant);
             t.peak_live = t.peak_live.max(live_now);
         }
         self.inner.active.fetch_add(1, Ordering::SeqCst);
@@ -596,7 +600,7 @@ impl Service {
     /// admission front-end calls this when it refuses work on the
     /// service's behalf, or after [`ServeError::Quota`]).
     pub fn note_shed(&self, tenant: &str) {
-        self.inner.stats.lock().tenants.entry(tenant.to_string()).or_default().shed += 1;
+        entry_mut(&mut self.inner.stats.lock().tenants, tenant).shed += 1;
     }
 
     /// Memory-pressure snapshot `(live nodes, peak nodes, brownouts)`,
@@ -807,7 +811,9 @@ impl StreamHandle {
         let mut stalled_since = Instant::now();
         self.inner.tick_waiters.fetch_add(1, Ordering::SeqCst);
         let outcome = loop {
-            if let Some(report) = self.job.done.lock().clone() {
+            // Moved out, not cloned: `finalize` unlisted the job from
+            // `live` before setting `done`, so nothing else reads it.
+            if let Some(report) = self.job.done.lock().take() {
                 break Ok(report);
             }
             // Same condvar-park discipline as [`Service::drain`]: the
@@ -898,8 +904,7 @@ fn supervise(inner: &Arc<Inner>, job: &Arc<Job>) {
         match run_attempt(inner, job, &rx) {
             Attempt::Done(mut report) => {
                 report.respawns = deaths;
-                fold_queue_accounting(inner, job, &rx);
-                finalize(inner, job, *report);
+                finalize(inner, job, &rx, *report);
                 return;
             }
             Attempt::Killed => {
@@ -913,8 +918,7 @@ fn supervise(inner: &Arc<Inner>, job: &Arc<Job>) {
                     // parked.
                     let _ = drain_to_eof(inner, &rx, job);
                     let report = quarantined_report(&job.tenant, &job.name, deaths);
-                    fold_queue_accounting(inner, job, &rx);
-                    finalize(inner, job, report);
+                    finalize(inner, job, &rx, report);
                     return;
                 }
                 if deaths > inner.cfg.max_respawns {
@@ -922,16 +926,14 @@ fn supervise(inner: &Arc<Inner>, job: &Arc<Job>) {
                     // the queue so its producer is never left parked.
                     let shipped = drain_to_eof(inner, &rx, job);
                     let report = lost_report(job, shipped, deaths);
-                    fold_queue_accounting(inner, job, &rx);
-                    finalize(inner, job, report);
+                    finalize(inner, job, &rx, report);
                     return;
                 }
                 // else: next attempt redelivers the journal.
             }
             Attempt::TimedOut => {
                 let report = timeout_report(inner, job, deaths);
-                fold_queue_accounting(inner, job, &rx);
-                finalize(inner, job, report);
+                finalize(inner, job, &rx, report);
                 return;
             }
             Attempt::Aborted => return,
@@ -1090,8 +1092,7 @@ fn deadline_loop(inner: &Arc<Inner>) {
                     if let Some(wake) = job.wake.lock().take() {
                         wake.wake_all();
                     }
-                    fold_queue_accounting(inner, &job, &rx);
-                    finalize(inner, &job, timeout_report(inner, &job, 0));
+                    finalize(inner, &job, &rx, timeout_report(inner, &job, 0));
                 }
                 // In a worker: wake its parked receive; the cancel
                 // predicate sees `timed_out` and the attempt reports
@@ -1292,11 +1293,15 @@ fn timeout_report(inner: &Inner, job: &Job, deaths: u32) -> StreamReport {
     }
 }
 
-/// Publishes the verdict and folds it into the telemetry.
-fn finalize(inner: &Inner, job: &Arc<Job>, report: StreamReport) {
+/// Publishes the verdict and folds it, with the queue accounting of
+/// `rx` (the stream's receiver, still owned by the caller), into the
+/// telemetry.
+fn finalize(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>, report: StreamReport) {
     {
         let mut acc = inner.stats.lock();
-        let t = acc.tenants.entry(job.tenant.clone()).or_default();
+        let t = entry_mut(&mut acc.tenants, &job.tenant);
+        t.peak_queue_depth = t.peak_queue_depth.max(rx.peak_len());
+        t.blocked_sends += rx.blocked_sends();
         t.streams += 1;
         t.events += report.events as u64;
         t.races += report.races as u64;
@@ -1327,13 +1332,14 @@ fn finalize(inner: &Inner, job: &Arc<Job>, report: StreamReport) {
     inner.bump_progress();
 }
 
-/// Folds a finished stream's queue accounting into its tenant's stats.
-/// Called by the worker while it still owns the receiver.
-fn fold_queue_accounting(inner: &Inner, job: &Job, rx: &Receiver<Vec<u8>>) {
-    let mut acc = inner.stats.lock();
-    let t = acc.tenants.entry(job.tenant.clone()).or_default();
-    t.peak_queue_depth = t.peak_queue_depth.max(rx.peak_len());
-    t.blocked_sends += rx.blocked_sends();
+/// `map[key]`, inserted as the default on first use. Unlike
+/// `entry(key.to_string())`, it allocates the owned key only when the
+/// entry is new.
+fn entry_mut<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 #[cfg(test)]

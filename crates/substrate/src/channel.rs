@@ -23,8 +23,30 @@
 //! rather than sleeping forever).
 //! Sender/receiver accounting lives *inside* the queue mutex, so wakeups
 //! cannot be lost between a count check and a condvar park.
+//!
+//! # Wake rule
+//!
+//! A condvar notify enters the kernel whether or not anyone waits, so
+//! the channel notifies only a thread its own state shows is parked.
+//! Every condvar wait is bracketed by a count under the channel mutex:
+//! `recv_parked` for receivers on an empty queue, `send_parked` for
+//! senders on a full one ([`Sender::parked`] reads both). A push, a
+//! pop's credit and a disconnecting drop read the matching count in the
+//! same critical section that changed the queue or the handle count,
+//! and notify only when it is nonzero. [`Receiver::wake_all`] stays
+//! unconditional.
+//!
+//! No wakeup is lost. A waiter increments its count and parks without
+//! releasing the mutex in between, and the notifier changes the queue
+//! and reads the count without releasing it either. One of the two
+//! critical sections comes first: if the waiter's, the notifier sees
+//! the count and notifies (after its unlock, which is as good as before:
+//! the waiter is already in the condvar's wait set); if the notifier's,
+//! the waiter sees the changed queue or handle count and never parks.
+//! A notified waiter stays counted until it re-takes the mutex, so a
+//! count can only over-report, costing at most a wasted notify.
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -111,6 +133,10 @@ struct State<T> {
     blocked_sends: u64,
     /// Deepest the queue ever got.
     peak_len: usize,
+    /// Receivers waiting on `cv` right now.
+    recv_parked: usize,
+    /// Senders waiting on `cv_send` right now.
+    send_parked: usize,
 }
 
 struct Chan<T> {
@@ -132,10 +158,49 @@ impl<T> Chan<T> {
                 cap,
                 blocked_sends: 0,
                 peak_len: 0,
+                recv_parked: 0,
+                send_parked: 0,
             }),
             cv: Condvar::new(),
             cv_send: Condvar::new(),
         })
+    }
+
+    /// Parks a receiver on `cv` (for at most `timeout`), counted in
+    /// `recv_parked` for exactly the span of the wait.
+    fn park_recv(&self, st: &mut MutexGuard<'_, State<T>>, timeout: Option<Duration>) {
+        st.recv_parked += 1;
+        match timeout {
+            Some(t) => {
+                self.cv.wait_for(st, t);
+            }
+            None => self.cv.wait(st),
+        }
+        st.recv_parked -= 1;
+    }
+
+    /// Parks a sender on `cv_send` (for at most `timeout`), counted in
+    /// `send_parked` for exactly the span of the wait.
+    fn park_send(&self, st: &mut MutexGuard<'_, State<T>>, timeout: Option<Duration>) {
+        st.send_parked += 1;
+        match timeout {
+            Some(t) => {
+                self.cv_send.wait_for(st, t);
+            }
+            None => self.cv_send.wait(st),
+        }
+        st.send_parked -= 1;
+    }
+
+    /// Pushes `value` onto a queue with room and wakes one receiver if
+    /// one is parked.
+    fn deliver(&self, mut st: MutexGuard<'_, State<T>>, value: T) {
+        st.push(value);
+        let wake = st.recv_parked > 0;
+        drop(st);
+        if wake {
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -170,7 +235,7 @@ impl<T> State<T> {
 }
 
 impl<T> Sender<T> {
-    /// Enqueues `value`, waking one blocked receiver. On a bounded
+    /// Enqueues `value`, waking one receiver if one is parked. On a bounded
     /// channel, blocks while the queue is full. Fails (returning the
     /// value) when every receiver has been dropped — including while
     /// parked on a full queue.
@@ -198,11 +263,9 @@ impl<T> Sender<T> {
             if !st.full() {
                 break;
             }
-            self.chan.cv_send.wait(&mut st);
+            self.chan.park_send(&mut st, None);
         }
-        st.push(value);
-        drop(st);
-        self.chan.cv.notify_one();
+        self.chan.deliver(st, value);
         Ok(())
     }
 
@@ -217,9 +280,7 @@ impl<T> Sender<T> {
             st.blocked_sends += 1;
             return Err(TrySendError::Full(value));
         }
-        st.push(value);
-        drop(st);
-        self.chan.cv.notify_one();
+        self.chan.deliver(st, value);
         Ok(())
     }
 
@@ -239,15 +300,13 @@ impl<T> Sender<T> {
                 if now >= deadline {
                     return Err(SendTimeoutError::Timeout(value));
                 }
-                self.chan.cv_send.wait_for(&mut st, deadline - now);
+                self.chan.park_send(&mut st, Some(deadline - now));
                 if st.receivers == 0 {
                     return Err(SendTimeoutError::Disconnected(value));
                 }
             }
         }
-        st.push(value);
-        drop(st);
-        self.chan.cv.notify_one();
+        self.chan.deliver(st, value);
         Ok(())
     }
 
@@ -276,6 +335,13 @@ impl<T> Sender<T> {
     pub fn peak_len(&self) -> usize {
         self.chan.state.lock().peak_len
     }
+
+    /// `(receivers, senders)` parked on this channel right now, read
+    /// under the channel lock — what a test waits on instead of a sleep.
+    pub fn parked(&self) -> (usize, usize) {
+        let st = self.chan.state.lock();
+        (st.recv_parked, st.send_parked)
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -289,10 +355,10 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut st = self.chan.state.lock();
         st.senders -= 1;
-        let disconnected = st.senders == 0;
+        let wake = st.senders == 0 && st.recv_parked > 0;
         drop(st);
-        if disconnected {
-            // Blocked receivers must re-check and observe the disconnect.
+        if wake {
+            // Parked receivers must re-check and observe the disconnect.
             self.chan.cv.notify_all();
         }
     }
@@ -305,10 +371,10 @@ pub struct Receiver<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Wakes one parked sender after a pop freed a slot (bounded only —
-    /// unbounded channels never park senders, so skip the syscall).
-    fn credit(&self, bounded: bool) {
-        if bounded {
+    /// Wakes one sender after a pop freed a slot, if the pop saw one
+    /// parked (only a full bounded queue parks senders).
+    fn credit(&self, wake: bool) {
+        if wake {
             self.chan.cv_send.notify_one();
         }
     }
@@ -319,15 +385,15 @@ impl<T> Receiver<T> {
         let mut st = self.chan.state.lock();
         loop {
             if let Some(v) = st.q.pop_front() {
-                let bounded = st.cap.is_some();
+                let wake = st.send_parked > 0;
                 drop(st);
-                self.credit(bounded);
+                self.credit(wake);
                 return Ok(v);
             }
             if st.senders == 0 {
                 return Err(RecvError);
             }
-            self.chan.cv.wait(&mut st);
+            self.chan.park_recv(&mut st, None);
         }
     }
 
@@ -337,9 +403,9 @@ impl<T> Receiver<T> {
         let mut st = self.chan.state.lock();
         loop {
             if let Some(v) = st.q.pop_front() {
-                let bounded = st.cap.is_some();
+                let wake = st.send_parked > 0;
                 drop(st);
-                self.credit(bounded);
+                self.credit(wake);
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -349,7 +415,7 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(TryRecvError::Empty);
             }
-            self.chan.cv.wait_for(&mut st, deadline - now);
+            self.chan.park_recv(&mut st, Some(deadline - now));
         }
     }
 
@@ -368,9 +434,9 @@ impl<T> Receiver<T> {
         let mut st = self.chan.state.lock();
         loop {
             if let Some(v) = st.q.pop_front() {
-                let bounded = st.cap.is_some();
+                let wake = st.send_parked > 0;
                 drop(st);
-                self.credit(bounded);
+                self.credit(wake);
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -379,7 +445,7 @@ impl<T> Receiver<T> {
             if cancelled() {
                 return Err(RecvCancelError::Cancelled);
             }
-            self.chan.cv.wait(&mut st);
+            self.chan.park_recv(&mut st, None);
         }
     }
 
@@ -400,9 +466,9 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut st = self.chan.state.lock();
         if let Some(v) = st.q.pop_front() {
-            let bounded = st.cap.is_some();
+            let wake = st.send_parked > 0;
             drop(st);
-            self.credit(bounded);
+            self.credit(wake);
             return Ok(v);
         }
         if st.senders == 0 {
@@ -435,6 +501,13 @@ impl<T> Receiver<T> {
     pub fn peak_len(&self) -> usize {
         self.chan.state.lock().peak_len
     }
+
+    /// `(receivers, senders)` parked on this channel right now, read
+    /// under the channel lock.
+    pub fn parked(&self) -> (usize, usize) {
+        let st = self.chan.state.lock();
+        (st.recv_parked, st.send_parked)
+    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -448,9 +521,9 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut st = self.chan.state.lock();
         st.receivers -= 1;
-        let disconnected = st.receivers == 0;
+        let wake = st.receivers == 0 && st.send_parked > 0;
         drop(st);
-        if disconnected {
+        if wake {
             // Senders parked on a full bounded queue must re-check and
             // observe the disconnect instead of sleeping forever.
             self.chan.cv_send.notify_all();
@@ -461,6 +534,17 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+    /// Yields until `cond` holds; a generous deadline turns a lost
+    /// wakeup into a failure instead of a hang.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let patience = std::time::Instant::now() + Duration::from_secs(30);
+        while !cond() {
+            assert!(std::time::Instant::now() < patience, "{what}");
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn fifo_single_thread() {
@@ -570,8 +654,6 @@ mod tests {
 
     #[test]
     fn recv_cancel_parks_until_woken() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
         let (tx, rx) = bounded::<u8>(1);
         let flag = Arc::new(AtomicBool::new(false));
         let waker_rx = rx.clone();
@@ -579,7 +661,7 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             rx.recv_cancel(&|| waiter_flag.load(Ordering::SeqCst))
         });
-        std::thread::sleep(Duration::from_millis(20));
+        until("the receiver parks", || waker_rx.parked() == (1, 0));
         assert!(!waiter.is_finished(), "an idle receiver must stay parked");
         flag.store(true, Ordering::SeqCst);
         waker_rx.wake_all();
@@ -589,7 +671,6 @@ mod tests {
 
     #[test]
     fn send_with_calls_its_hook_once_before_parking_and_counts_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
         let (tx, rx) = bounded::<u8>(1);
         let calls = AtomicU32::new(0);
         tx.send_with(1, || panic!("a queue with room never parks")).unwrap();
@@ -617,8 +698,88 @@ mod tests {
         let (tx, rx) = bounded::<u8>(1);
         tx.send(1).unwrap();
         let parked = std::thread::spawn(move || tx.send(2));
-        std::thread::sleep(Duration::from_millis(10));
+        until("the sender parks", || rx.parked() == (0, 1));
         drop(rx); // must wake the parked sender with a disconnect
         assert_eq!(parked.join().unwrap(), Err(SendError(2)));
+    }
+
+    #[test]
+    fn timed_out_waits_leave_no_parked_count() {
+        let (tx, rx) = bounded::<u8>(1);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(2)), Err(TryRecvError::Empty));
+        assert_eq!(rx.parked(), (0, 0));
+        tx.send(1).unwrap();
+        assert!(matches!(
+            tx.send_timeout(2, Duration::from_millis(2)),
+            Err(SendTimeoutError::Timeout(2))
+        ));
+        assert_eq!(tx.parked(), (0, 0));
+        assert_eq!(tx.blocked_sends(), 1);
+    }
+
+    #[test]
+    fn woken_waits_leave_no_parked_count() {
+        let (tx, rx) = bounded::<u8>(1);
+        std::thread::scope(|s| {
+            // `recv` and `recv_timeout`, woken by a send.
+            let r = s.spawn(|| rx.recv());
+            until("recv parks", || rx.parked() == (1, 0));
+            tx.send(1).unwrap();
+            assert_eq!(r.join().unwrap(), Ok(1));
+            let r = s.spawn(|| rx.recv_timeout(Duration::from_secs(60)));
+            until("recv_timeout parks", || rx.parked() == (1, 0));
+            tx.send(2).unwrap();
+            assert_eq!(r.join().unwrap(), Ok(2));
+            assert_eq!(rx.parked(), (0, 0));
+
+            // `send_with` and `send_timeout`, woken by a pop.
+            tx.send(3).unwrap();
+            let w = s.spawn(|| tx.send_with(4, || {}));
+            until("send_with parks", || tx.parked() == (0, 1));
+            assert_eq!(rx.recv(), Ok(3));
+            w.join().unwrap().unwrap();
+            let w = s.spawn(|| tx.send_timeout(5, Duration::from_secs(60)));
+            until("send_timeout parks", || tx.parked() == (0, 1));
+            assert_eq!(rx.recv(), Ok(4));
+            w.join().unwrap().unwrap();
+            assert_eq!(rx.recv(), Ok(5));
+        });
+        assert_eq!(tx.parked(), (0, 0));
+    }
+
+    #[test]
+    fn spurious_and_cancelling_wakes_leave_no_parked_count() {
+        let (tx, rx) = bounded::<u8>(1);
+        let flag = AtomicBool::new(false);
+        let checks = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                rx.recv_cancel(&|| {
+                    checks.fetch_add(1, Ordering::SeqCst);
+                    flag.load(Ordering::SeqCst)
+                })
+            });
+            until("recv_cancel parks", || rx.parked() == (1, 0));
+            // A bare wake: the receiver re-checks its predicate and re-parks.
+            rx.wake_all();
+            until("recv_cancel re-parks", || {
+                checks.load(Ordering::SeqCst) >= 2 && rx.parked() == (1, 0)
+            });
+            assert!(!waiter.is_finished());
+            flag.store(true, Ordering::SeqCst);
+            rx.wake_all();
+            assert_eq!(waiter.join().unwrap(), Err(RecvCancelError::Cancelled));
+            assert_eq!(rx.parked(), (0, 0));
+
+            // A spurious wake of a parked sender, then the real credit.
+            tx.send(1).unwrap();
+            let w = s.spawn(|| tx.send(2));
+            until("the sender parks", || tx.parked() == (0, 1));
+            rx.wake_all();
+            assert_eq!(rx.recv(), Ok(1));
+            w.join().unwrap().unwrap();
+        });
+        assert_eq!(tx.parked(), (0, 0));
+        assert_eq!(rx.recv(), Ok(2));
     }
 }

@@ -10,11 +10,33 @@
 //!   that re-parks;
 //! * a cancel tripped *before* `wake_all` is never lost, even if the
 //!   receiver parked before the flag flipped.
+//!
+//! No test sleeps: each waits, yielding, until the channel's own
+//! `parked()` count (and, for a re-park, the predicate's call count)
+//! shows the threads where the test needs them.
 
 use rma_substrate::channel::{bounded, unbounded, RecvCancelError, TryRecvError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Yields until `cond` holds; a generous deadline turns a lost wakeup
+/// into a failure instead of a hang.
+fn until(what: &str, cond: impl Fn() -> bool) {
+    let patience = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < patience, "{what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A never-tripped cancel predicate that counts its calls: `recv_cancel`
+/// calls it once before every park, so the count tells a re-park from
+/// the first one.
+fn counted(calls: &AtomicU32) -> bool {
+    calls.fetch_add(1, Ordering::SeqCst);
+    false
+}
 
 /// Cancel tripped while the receiver is parked and *no send ever
 /// happens*: the receiver wakes with `Cancelled`, and a message sent
@@ -28,7 +50,7 @@ fn cancel_before_any_send_releases_the_parked_receiver() {
     let waiter_flag = flag.clone();
     let waiter =
         std::thread::spawn(move || rx.recv_cancel(&|| waiter_flag.load(Ordering::SeqCst)));
-    std::thread::sleep(Duration::from_millis(20));
+    until("the receiver parks", || waker.parked() == (1, 0));
     assert!(!waiter.is_finished(), "nothing to receive and no cancel: must stay parked");
 
     // Trip-then-wake, the documented order.
@@ -76,7 +98,7 @@ fn disconnect_outranks_cancel_on_an_empty_queue() {
 fn sender_drop_wakes_a_parked_cancellable_receiver() {
     let (tx, rx) = bounded::<u8>(1);
     let waiter = std::thread::spawn(move || rx.recv_cancel(&|| false));
-    std::thread::sleep(Duration::from_millis(20));
+    until("the receiver parks", || tx.parked() == (1, 0));
     assert!(!waiter.is_finished(), "no data, no cancel, sender alive: parked");
     drop(tx);
     assert_eq!(waiter.join().unwrap(), Err(RecvCancelError::Disconnected));
@@ -88,16 +110,17 @@ fn sender_drop_wakes_a_parked_cancellable_receiver() {
 #[test]
 fn wake_all_without_a_tripped_flag_is_spurious() {
     let (tx, rx) = bounded::<u8>(4);
-    let flag = Arc::new(AtomicBool::new(false));
+    let calls = Arc::new(AtomicU32::new(0));
     let waker = rx.clone();
-    let waiter_flag = flag.clone();
-    let waiter =
-        std::thread::spawn(move || rx.recv_cancel(&|| waiter_flag.load(Ordering::SeqCst)));
-    std::thread::sleep(Duration::from_millis(20));
+    let waiter_calls = calls.clone();
+    let waiter = std::thread::spawn(move || rx.recv_cancel(&|| counted(&waiter_calls)));
+    until("the receiver parks", || waker.parked() == (1, 0));
 
     // Kick with nothing to report: the waiter must re-park, not return.
     waker.wake_all();
-    std::thread::sleep(Duration::from_millis(20));
+    until("the receiver re-parks", || {
+        calls.load(Ordering::SeqCst) >= 2 && waker.parked() == (1, 0)
+    });
     assert!(!waiter.is_finished(), "a bare wake_all must not end the receive");
 
     // Real data still gets through after the spurious wake.
@@ -126,16 +149,20 @@ fn wake_all_spuriously_wakes_a_parked_sender_which_reparks() {
     let (tx, rx) = bounded::<u8>(1);
     tx.send(1).unwrap();
     let parked = std::thread::spawn(move || tx.send(2));
-    std::thread::sleep(Duration::from_millis(20));
+    until("the sender parks", || rx.parked() == (0, 1));
     assert!(!parked.is_finished(), "queue full: the sender is parked");
 
+    // A send has no predicate to count, so a re-park looks the same as
+    // a wake not yet taken; a sender that wrongly went on would overfill
+    // the queue, which `peak_len` shows.
     rx.wake_all();
-    std::thread::sleep(Duration::from_millis(20));
+    until("the sender is parked after the wake", || rx.parked() == (0, 1));
     assert!(!parked.is_finished(), "still full after the wake: must re-park");
 
     assert_eq!(rx.recv(), Ok(1));
     parked.join().unwrap().unwrap();
     assert_eq!(rx.recv(), Ok(2));
+    assert_eq!(rx.peak_len(), 1, "the woken sender never overfilled the queue");
 }
 
 /// One `wake_all` reaches every parked receiver, and each applies its
@@ -148,14 +175,18 @@ fn wake_all_fans_out_but_each_receiver_checks_its_own_flag() {
     let waker = rx.clone();
     let flag_a = Arc::new(AtomicBool::new(false));
     let a_flag = flag_a.clone();
+    let b_calls = Arc::new(AtomicU32::new(0));
+    let b_counter = b_calls.clone();
     let a = std::thread::spawn(move || rx.recv_cancel(&|| a_flag.load(Ordering::SeqCst)));
-    let b = std::thread::spawn(move || rx2.recv_cancel(&|| false));
-    std::thread::sleep(Duration::from_millis(20));
+    let b = std::thread::spawn(move || rx2.recv_cancel(&|| counted(&b_counter)));
+    until("both receivers park", || waker.parked() == (2, 0));
 
     flag_a.store(true, Ordering::SeqCst);
     waker.wake_all();
     assert_eq!(a.join().unwrap(), Err(RecvCancelError::Cancelled));
-    std::thread::sleep(Duration::from_millis(20));
+    until("the sibling re-parks", || {
+        b_calls.load(Ordering::SeqCst) >= 2 && waker.parked() == (1, 0)
+    });
     assert!(!b.is_finished(), "untripped sibling re-parks on the shared wake");
 
     tx.send(3).unwrap();

@@ -7,8 +7,6 @@
 use rma_substrate::channel::{unbounded, RecvError};
 use rma_substrate::rng::{SliceRandom, SmallRng};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[test]
@@ -112,23 +110,17 @@ fn mpmc_exactly_once_4x4() {
 #[test]
 fn disconnect_wakes_blocked_receivers() {
     let (tx, rx) = unbounded::<u8>();
-    let blocked = Arc::new(AtomicUsize::new(0));
     let mut handles = Vec::new();
     for _ in 0..4 {
         let rx = rx.clone();
-        let blocked = blocked.clone();
-        handles.push(std::thread::spawn(move || {
-            blocked.fetch_add(1, Ordering::SeqCst);
-            rx.recv()
-        }));
+        handles.push(std::thread::spawn(move || rx.recv()));
     }
     drop(rx);
     // Wait until all four consumers are parked in recv() on the empty
-    // channel (a short grace period after they signal arrival).
-    while blocked.load(Ordering::SeqCst) < 4 {
+    // channel, as the channel itself counts them.
+    while tx.parked() != (4, 0) {
         std::thread::yield_now();
     }
-    std::thread::sleep(Duration::from_millis(20));
 
     let t0 = Instant::now();
     drop(tx);
