@@ -197,10 +197,10 @@ echo "==> flake sweep: thread-sensitive suites, 10 runs each, oversubscribed"
 # times under 8 test threads, every run under `timeout`; one failed or
 # wedged run fails CI, and nothing is skipped or retried.
 for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
-    rma-trace:replay_fidelity rma-suite:grid_equivalence \
+    rma-trace:replay_fidelity rma-trace:replay_incremental rma-suite:grid_equivalence \
     rma-served:service_replay rma-served:backpressure rma-served:overload \
     rma-served:journal_redelivery rma-served:caller_runs rma-served:dispatch \
-    rma-served:durability rma-substrate:channel_cancel rma-substrate:channel_wakes \
+    rma-served:durability rma-served:pipeline rma-substrate:channel_cancel rma-substrate:channel_wakes \
     rma-substrate:determinism rma-sim:faults; do
     PKG=${SUITE%%:*}
     TEST=${SUITE#*:}

@@ -12,7 +12,9 @@
 //!
 //! * **Credit-based backpressure** — every stream gets a *bounded*
 //!   substrate channel ([`rma_substrate::channel::bounded`]) of byte
-//!   chunks. A producer that outruns its worker parks on the full
+//!   chunks, each carrying the events the feeding thread decoded from
+//!   it; the consumer replays them as they arrive with an incremental
+//!   [`rma_trace::Replayer`]. A producer that outruns its worker parks on the full
 //!   queue (the block *is* the credit mechanism), so per-stream ingest
 //!   memory is capped at `queue_bound × chunk size` no matter how fast
 //!   the client pushes. Blocked-producer counts and peak queue depth
@@ -25,7 +27,7 @@
 //! * **Supervised recovery per stream** — every consumed chunk is
 //!   journaled until the stream's verdict is out. A worker death
 //!   (injected deterministically via [`rma_sim::FaultKind::KillWorker`]
-//!   chaos) is absorbed by redelivering the journal to a fresh decode
+//!   chaos) is absorbed by re-decoding the journal into a fresh replay
 //!   attempt — at-least-once delivery, exactly-once analysis effect —
 //!   bounded by a respawn budget. Within budget the verdict is
 //!   *crash-equivalent* (byte-identical to the fault-free run); beyond

@@ -13,10 +13,17 @@
 //! by admission: by a client that cannot go on alone (its queue is
 //! full, its claim was refused, it abandoned its handle), by
 //! [`Service::drain`], and by a worker that leaves streams queued with
-//! a slot free. Either way the stream is decoded incrementally with
-//! [`rma_trace::StreamDecoder`], journal every consumed chunk until the
-//! verdict is out, and replay the decoded trace through the configured
-//! detector. A worker death (deterministic chaos via
+//! a slot free.
+//!
+//! A stream takes two cores: the feeding thread decodes each chunk with
+//! the handle's [`rma_trace::StreamDecoder`] and enqueues it with the
+//! events it completed, and the consumer (worker or finishing client)
+//! journals every chunk until the verdict is out and pushes the events
+//! into an incremental [`rma_trace::Replayer`], so the detector runs as
+//! the bytes arrive. A stream that does not decode whole (truncated,
+//! corrupt, format v1) is re-decoded from its journal at end-of-stream
+//! and replayed from its [`rma_trace::StreamEnd`] instead. A worker
+//! death (deterministic chaos via
 //! [`rma_sim::FaultKind::KillWorker`]) is absorbed by redelivering the
 //! journal to a fresh attempt, bounded by [`ServeCfg::max_respawns`];
 //! past the budget the stream fail-stops with [`Tier::Lost`].
@@ -30,7 +37,8 @@ use rma_substrate::channel::{bounded, Receiver, RecvCancelError, Sender};
 use rma_substrate::clock::Clock;
 use rma_substrate::sync::{Condvar, Mutex};
 use rma_trace::{
-    replay_trace, verdict_line, Detector, MustTarget, StoreTarget, StreamDecoder, StreamEnd,
+    replay_trace, verdict_line, Detector, MustTarget, ReplayOutcome, ReplayTarget, Replayer,
+    StoreTarget, StreamDecoder, StreamEnd, TraceError, TraceEvent,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,7 +145,10 @@ pub struct ServeCfg {
     /// client's claim is refused, a handle is dropped unfinished, or
     /// [`Service::drain`] finds streams queued).
     pub workers: usize,
-    /// Per-stream chunk-queue bound — the backpressure credit count.
+    /// Per-stream chunk-queue bound — the backpressure credit count. A
+    /// credit is one fed chunk together with the events the feeding
+    /// thread decoded from it: decode runs on the caller of
+    /// [`StreamHandle::feed`], ahead of the queue.
     pub queue_bound: usize,
     /// Streams admitted concurrently before `submit` reports busy.
     pub max_live_streams: usize,
@@ -280,18 +291,49 @@ pub enum DrainOutcome {
     },
 }
 
+/// One fed chunk and what the feeding thread's decoder made of it —
+/// the unit of a stream's queue.
+struct Fed {
+    /// The raw bytes, journaled by the consumer.
+    chunk: Vec<u8>,
+    /// The events the chunk completed, in wire order.
+    events: Vec<TraceEvent>,
+    /// The decoder's events decoded and epoch marks after this chunk —
+    /// the progress the consumer publishes when it takes the chunk.
+    decoded: u64,
+    epochs: u64,
+    /// The header's rank count, once the header has parsed.
+    nranks: Option<u32>,
+    /// `Some(epochs kept)` once every rank's stream ran to `Finish`.
+    complete: Option<usize>,
+}
+
+impl Fed {
+    /// `chunk`, after `dec` has decoded it.
+    fn new(chunk: Vec<u8>, dec: &mut StreamDecoder) -> Fed {
+        Fed {
+            chunk,
+            events: dec.take_events(),
+            decoded: dec.decoded_events() as u64,
+            epochs: dec.epoch_marks() as u64,
+            nranks: dec.header().map(|h| h.nranks),
+            complete: dec.is_complete().then(|| dec.epochs_kept()),
+        }
+    }
+}
+
 /// One admitted stream: its queue, journal and verdict slot.
 struct Job {
     tenant: String,
     name: String,
     /// Taken by the worker that first picks the job up; torn down (to
     /// wake parked producers) on shutdown.
-    rx: Mutex<Option<Receiver<Vec<u8>>>>,
+    rx: Mutex<Option<Receiver<Fed>>>,
     /// A second receiver clone kept solely so teardown can wake a
     /// worker parked in a cancellable receive on this stream's queue.
     /// Dropped (after the wake) so the sender-side disconnect
     /// accounting still sees every receiver go away.
-    wake: Mutex<Option<Receiver<Vec<u8>>>>,
+    wake: Mutex<Option<Receiver<Fed>>>,
     /// Events decoded so far — live progress for durability watermarks.
     decoded: AtomicU64,
     /// Epoch boundaries decoded so far ([`StreamDecoder::epoch_marks`])
@@ -323,7 +365,7 @@ impl Job {
     fn new(
         tenant: &str,
         name: &str,
-        rx: Receiver<Vec<u8>>,
+        rx: Receiver<Fed>,
         kills: u32,
         kill_at: u64,
         now_ms: u64,
@@ -344,13 +386,14 @@ impl Job {
         }
     }
 
-    /// Stamps the deadline clock and stores the decoder's live progress
-    /// where the producer side can read it ([`StreamHandle::progress`]).
-    /// Stamp first: a reader that sees the new counts sees the stamp.
-    fn publish_progress(&self, dec: &StreamDecoder, clock: &Clock) {
+    /// Stamps the deadline clock and stores the decoder's progress at
+    /// the chunk just consumed where the producer side can read it
+    /// ([`StreamHandle::progress`]). Stamp first: a reader that sees
+    /// the new counts sees the stamp.
+    fn publish_progress(&self, decoded: u64, epochs: u64, clock: &Clock) {
         self.stamp(clock);
-        self.decoded.store(dec.decoded_events() as u64, Ordering::SeqCst);
-        self.epochs.store(dec.epoch_marks() as u64, Ordering::SeqCst);
+        self.decoded.store(decoded, Ordering::SeqCst);
+        self.epochs.store(epochs, Ordering::SeqCst);
     }
 
     /// Stamps the deadline clock. `fetch_max`, because the producer
@@ -512,7 +555,9 @@ pub struct StreamHandle {
     inner: Arc<Inner>,
     job: Arc<Job>,
     /// `None` once [`StreamHandle::finish`] has closed the stream.
-    tx: Option<Sender<Vec<u8>>>,
+    tx: Option<Sender<Fed>>,
+    /// Decodes each chunk on the feeding thread.
+    dec: Mutex<StreamDecoder>,
 }
 
 impl Service {
@@ -586,7 +631,12 @@ impl Service {
             t.peak_live = t.peak_live.max(live_now);
         }
         self.inner.active.fetch_add(1, Ordering::SeqCst);
-        Ok(StreamHandle { inner: self.inner.clone(), job, tx: Some(tx) })
+        Ok(StreamHandle {
+            inner: self.inner.clone(),
+            job,
+            tx: Some(tx),
+            dec: Mutex::new(StreamDecoder::new()),
+        })
     }
 
     /// Streams `tenant` currently holds in flight — what the quota
@@ -729,7 +779,7 @@ impl Drop for Service {
 impl StreamHandle {
     /// The open stream's sender; only [`StreamHandle::finish`] and the
     /// drop take it.
-    fn tx(&self) -> &Sender<Vec<u8>> {
+    fn tx(&self) -> &Sender<Fed> {
         self.tx.as_ref().expect("the stream is open until finish")
     }
 
@@ -740,8 +790,22 @@ impl StreamHandle {
     /// enqueued chunk counts as progress for
     /// [`ServeCfg::stream_deadline`]. Fails once the service is tearing
     /// down.
+    ///
+    /// The chunk is decoded here, on the caller's thread, before it is
+    /// queued: decode cost lands on the caller, while the consumer
+    /// replays the events of earlier chunks. Bytes that do not decode
+    /// are not an error here; they surface as [`Tier::Malformed`] (or
+    /// [`Tier::Truncated`]) in the report of [`StreamHandle::finish`].
     pub fn feed(&self, chunk: impl Into<Vec<u8>>) -> Result<(), ServeError> {
-        self.tx().send_with(chunk.into(), || {
+        let chunk = chunk.into();
+        let fed = {
+            let mut dec = self.dec.lock();
+            // A decode error is final inside the decoder; the consumer
+            // re-decodes the journal at end-of-stream to report it.
+            let _ = dec.feed(&chunk);
+            Fed::new(chunk, &mut dec)
+        };
+        self.tx().send_with(fed, || {
             // `rx` is taken by whoever supervises the stream (or by its
             // eviction); while it is here, no worker will pop this queue.
             if self.job.rx.lock().is_some() {
@@ -766,7 +830,8 @@ impl StreamHandle {
     }
 
     /// Live `(events decoded, epoch boundaries decoded)` for this
-    /// stream — the worker publishes after every chunk it decodes. The
+    /// stream — the worker publishes, after every chunk it consumes,
+    /// the counts the feeding thread's decoder had after that chunk. The
     /// values lag the bytes the producer has *queued* (only consumed
     /// chunks count) and are monotone; the daemon keys its durability
     /// epoch checkpoints on the second component. Nothing consumes a
@@ -944,34 +1009,61 @@ fn supervise(inner: &Arc<Inner>, job: &Arc<Job>) {
 /// Consumes and discards the rest of a stream (used after giving up on
 /// it), returning the total journaled byte count as an event-free
 /// estimate of what was shipped.
-fn drain_to_eof(inner: &Inner, rx: &Receiver<Vec<u8>>, job: &Job) -> u64 {
+fn drain_to_eof(inner: &Inner, rx: &Receiver<Fed>, job: &Job) -> u64 {
     let cancelled = || inner.shutting_down.load(Ordering::SeqCst);
-    while let Ok(chunk) = rx.recv_cancel(&cancelled) {
-        job.journal.lock().push(chunk);
+    while let Ok(fed) = rx.recv_cancel(&cancelled) {
+        job.journal.lock().push(fed.chunk);
         inner.bump_progress();
     }
     job.journal.lock().iter().map(|c| c.len() as u64).sum()
 }
 
-/// One full decode-and-analyze pass: journal redelivery, live ingest to
-/// end-of-stream, then detector replay.
-fn run_attempt(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>) -> Attempt {
-    let mut dec = StreamDecoder::new();
-    let mut wire_error = None;
+/// The stream's analysis as its events arrive: the replayer, built
+/// once the header's rank count is known, and whether every rank's
+/// stream ran to `Finish` (with the epochs it kept).
+struct Live {
+    replayer: Option<Replayer<'static>>,
+    complete: Option<usize>,
+}
 
-    // Redelivery: feed everything a previous (killed) attempt already
-    // consumed, chunk by chunk as it was received. At-least-once
-    // delivery; the fresh decoder gives the replay an exactly-once
-    // analysis effect. Only this stream's worker touches the journal,
-    // so holding its lock across the feeds contends with no one.
-    for piece in job.journal.lock().iter() {
-        if let Err(e) = dec.feed(piece) {
-            wire_error = Some(e);
-            break;
+impl Live {
+    /// Replays `events`, decoded from a stream of `nranks` ranks.
+    fn push(&mut self, inner: &Inner, nranks: Option<u32>, events: Vec<TraceEvent>) {
+        if self.replayer.is_none() {
+            let Some(nranks) = nranks else { return };
+            let target = replay_target(inner.cfg.detector, &inner.rcfg, inner.gauge.as_ref());
+            self.replayer = Some(Replayer::new(nranks, target));
         }
-        job.publish_progress(&dec, &inner.cfg.clock);
-        if job.take_kill(dec.decoded_events() as u64) {
-            return Attempt::Killed;
+        if let Some(rep) = &mut self.replayer {
+            rep.push(events);
+        }
+    }
+}
+
+/// One full decode-and-analyze pass: journal redelivery, live ingest to
+/// end-of-stream, then the verdict.
+fn run_attempt(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Fed>) -> Attempt {
+    let mut live = Live { replayer: None, complete: None };
+
+    // Redelivery: re-decode everything a previous (killed) attempt
+    // already consumed, chunk by chunk as it was received, into a fresh
+    // replayer. At-least-once delivery; the fresh replayer gives an
+    // exactly-once analysis effect. Only this stream's worker touches
+    // the journal, so holding its lock across the feeds contends with
+    // no one.
+    {
+        let mut dec = StreamDecoder::new();
+        for piece in job.journal.lock().iter() {
+            if dec.feed(piece).is_err() {
+                break;
+            }
+            let decoded = dec.decoded_events() as u64;
+            job.publish_progress(decoded, dec.epoch_marks() as u64, &inner.cfg.clock);
+            if job.take_kill(decoded) {
+                return Attempt::Killed;
+            }
+            live.push(inner, dec.header().map(|h| h.nranks), dec.take_events());
+            live.complete = dec.is_complete().then(|| dec.epochs_kept());
         }
     }
 
@@ -991,20 +1083,17 @@ fn run_attempt(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>) -> Attempt
     };
     loop {
         match rx.recv_cancel(&cancelled) {
-            Ok(chunk) => {
-                if wire_error.is_none() {
-                    if let Err(e) = dec.feed(&chunk) {
-                        wire_error = Some(e);
-                    }
-                }
+            Ok(Fed { chunk, events, decoded, epochs, nranks, complete }) => {
                 // Journaled before any kill, cancel or return check, so
                 // no consumed chunk is ever lost to redelivery.
                 job.journal.lock().push(chunk);
                 inner.bump_progress();
-                job.publish_progress(&dec, &inner.cfg.clock);
-                if job.take_kill(dec.decoded_events() as u64) {
+                job.publish_progress(decoded, epochs, &inner.cfg.clock);
+                if job.take_kill(decoded) {
                     return Attempt::Killed;
                 }
+                live.push(inner, nranks, events);
+                live.complete = complete;
                 if let Some(delay) = inner.cfg.ingest_delay {
                     if !sliced_sleep(inner, job, delay) {
                         return cancel_kind(job);
@@ -1016,18 +1105,31 @@ fn run_attempt(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>) -> Attempt
         }
     }
 
-    // End of stream: classify, then analyze.
-    if let Some(e) = wire_error {
-        return Attempt::Done(Box::new(malformed_report(&job.tenant, &job.name, &format!("{e}"))));
+    // End of stream. A stream that decoded whole has been replayed as
+    // it arrived. Any other is classified from its journal, once its
+    // live replayer (and any metered store) has been dropped.
+    if let (Some(epochs_kept), Some(replayer)) = (live.complete, live.replayer) {
+        // A chaos threshold past the end of the stream fires here, right
+        // before the verdict, so every configured kill lands
+        // deterministically.
+        if job.take_kill(u64::MAX) {
+            return Attempt::Killed;
+        }
+        let outcome = replayer.finish();
+        return Attempt::Done(Box::new(stream_report(
+            &job.tenant,
+            &job.name,
+            outcome,
+            epochs_kept,
+            None,
+        )));
     }
-    let end = match dec.finish() {
+    let end = match decode_all(job.journal.lock().iter().map(Vec::as_slice)) {
         Ok(end) => end,
         Err(e) => {
             return Attempt::Done(Box::new(malformed_report(&job.tenant, &job.name, &format!("{e}"))))
         }
     };
-    // A chaos threshold past the end of the stream fires here, right
-    // before analysis, so every configured kill lands deterministically.
     if job.take_kill(u64::MAX) {
         return Attempt::Killed;
     }
@@ -1062,9 +1164,9 @@ fn deadline_loop(inner: &Arc<Inner>) {
         {
             let mut sched = inner.sched.lock();
             for job in &sched.live {
-                if job.done.lock().is_some() {
-                    continue;
-                }
+                // `finalize` unlists a job under this lock before it
+                // sets `done`, so a listed job never has a verdict.
+                debug_assert!(job.done.lock().is_none(), "a listed job has no verdict");
                 let due = job.last_progress_ms.load(Ordering::SeqCst).saturating_add(deadline);
                 if now >= due {
                     // First flagger owns the eviction.
@@ -1119,57 +1221,54 @@ pub fn resolve_rcfg(cfg: &ServeCfg) -> AnalyzerCfg {
     rcfg
 }
 
-/// Replays a fully-decoded stream through the detector and classifies
-/// the verdict. Shared by the live worker path and the daemon's
-/// startup recovery so a recovered verdict is byte-identical to the
-/// uninterrupted one (`respawns` is 0 here; the supervisor overwrites
-/// it on the live path).
-///
-/// With a `gauge`, stores are metered: admission under pressure
-/// tightens the node budget to the gauge's fair-share cap, and live
-/// growth past the cap retro-coalesces (FP-only; see
-/// [`rma_core::gauge`]). The MUST detector keeps no interval store and
-/// ignores the gauge.
-pub(crate) fn report_for_end(
+/// The detector a stream is replayed into. With a `gauge`, stores are
+/// metered: a stream whose first store is built while the service is
+/// over budget has its node budget tightened to the gauge's fair-share
+/// cap (read once, at that first store), and live growth past the cap
+/// retro-coalesces (FP-only; see [`rma_core::gauge`]). The MUST
+/// detector keeps no interval store and ignores the gauge.
+fn replay_target(
     detector: Detector,
     rcfg: &AnalyzerCfg,
     gauge: Option<&MemGauge>,
-    tenant: &str,
-    stream: &str,
-    end: StreamEnd,
-) -> StreamReport {
-    let mut rcfg = *rcfg;
-    if let Some(cap) = gauge.and_then(MemGauge::brownout_cap) {
-        // Brownout admission: streams analyzed while the service is
-        // over budget start under the fair-share cap.
-        rcfg.node_budget = Some(rcfg.node_budget.map_or(cap, |b| b.min(cap)));
-    }
-    let outcome = match (detector, gauge) {
-        (Detector::Must, _) => replay_trace(&end.trace, Box::new(MustTarget::new())),
+) -> Box<dyn ReplayTarget + 'static> {
+    let rcfg = *rcfg;
+    match (detector, gauge) {
+        (Detector::Must, _) => Box::new(MustTarget::new()),
         (_, Some(gauge)) => {
             let gauge = gauge.clone();
-            replay_trace(
-                &end.trace,
-                Box::new(StoreTarget::new(move || rcfg.build_store_metered(&gauge))),
-            )
+            let mut admitted: Option<AnalyzerCfg> = None;
+            Box::new(StoreTarget::new(move || {
+                let rcfg = *admitted.get_or_insert_with(|| {
+                    let mut rcfg = rcfg;
+                    if let Some(cap) = gauge.brownout_cap() {
+                        // Brownout admission: a stream analyzed while
+                        // the service is over budget starts under the
+                        // fair-share cap.
+                        rcfg.node_budget = Some(rcfg.node_budget.map_or(cap, |b| b.min(cap)));
+                    }
+                    rcfg
+                });
+                rcfg.build_store_metered(&gauge)
+            }))
         }
-        (_, None) => {
-            replay_trace(&end.trace, Box::new(StoreTarget::new(move || rcfg.build_store(None))))
-        }
-    };
-    let (tier, completeness) = if end.complete {
-        (
-            if outcome.races.is_empty() { Tier::Clean } else { Tier::Racy },
-            Completeness::Complete,
-        )
-    } else {
-        (
-            Tier::Truncated,
-            Completeness::Partial {
-                processed: (end.decoded_events - end.dropped_events) as u64,
-                target: end.decoded_events as u64,
-            },
-        )
+        (_, None) => Box::new(StoreTarget::new(move || rcfg.build_store(None))),
+    }
+}
+
+/// The report for a replayed stream: complete unless `partial` says how
+/// much of what was decoded the replay covered.
+fn stream_report(
+    tenant: &str,
+    stream: &str,
+    outcome: ReplayOutcome,
+    epochs_kept: usize,
+    partial: Option<Completeness>,
+) -> StreamReport {
+    let tier = match (&partial, outcome.races.is_empty()) {
+        (Some(_), _) => Tier::Truncated,
+        (None, true) => Tier::Clean,
+        (None, false) => Tier::Racy,
     };
     StreamReport {
         tenant: tenant.to_string(),
@@ -1178,12 +1277,33 @@ pub(crate) fn report_for_end(
         verdict: verdict_line(&outcome.races),
         races: outcome.races.len(),
         events: outcome.events,
-        epochs_kept: end.epochs_kept,
-        completeness,
+        epochs_kept,
+        completeness: partial.unwrap_or(Completeness::Complete),
         respawns: 0, // supervisor fills in
         degraded: outcome.stats.coalesced > 0,
         brownout: outcome.stats.brownouts > 0,
     }
+}
+
+/// Replays a fully-decoded stream through the detector and classifies
+/// the verdict. Shared by the worker path for streams that did not
+/// decode whole and by the daemon's startup recovery, so a recovered
+/// verdict is byte-identical to the uninterrupted one (`respawns` is 0
+/// here; the supervisor overwrites it on the live path).
+pub(crate) fn report_for_end(
+    detector: Detector,
+    rcfg: &AnalyzerCfg,
+    gauge: Option<&MemGauge>,
+    tenant: &str,
+    stream: &str,
+    end: StreamEnd,
+) -> StreamReport {
+    let outcome = replay_trace(&end.trace, replay_target(detector, rcfg, gauge));
+    let partial = (!end.complete).then(|| Completeness::Partial {
+        processed: (end.decoded_events - end.dropped_events) as u64,
+        target: end.decoded_events as u64,
+    });
+    stream_report(tenant, stream, outcome, end.epochs_kept, partial)
 }
 
 /// Decodes raw stream bytes offline and produces the report the live
@@ -1196,16 +1316,21 @@ pub(crate) fn report_for_end(
 pub(crate) fn analyze_bytes(cfg: &ServeCfg, tenant: &str, stream: &str, bytes: &[u8]) -> StreamReport {
     let rcfg = resolve_rcfg(cfg);
     let gauge = cfg.memory_budget.map(MemGauge::new);
-    let mut dec = StreamDecoder::new();
-    for piece in bytes.chunks(4096) {
-        if let Err(e) = dec.feed(piece) {
-            return malformed_report(tenant, stream, &format!("{e}"));
-        }
-    }
-    match dec.finish() {
+    match decode_all(bytes.chunks(4096)) {
         Ok(end) => report_for_end(cfg.detector, &rcfg, gauge.as_ref(), tenant, stream, end),
         Err(e) => malformed_report(tenant, stream, &format!("{e}")),
     }
+}
+
+/// Decodes a stream's chunks, in order, to its `StreamEnd`, or to the
+/// error that makes it malformed: a header that can never parse (the
+/// first `feed` error) or no header at all.
+fn decode_all<'c>(chunks: impl IntoIterator<Item = &'c [u8]>) -> Result<StreamEnd, TraceError> {
+    let mut dec = StreamDecoder::new();
+    for piece in chunks {
+        dec.feed(piece)?;
+    }
+    dec.finish()
 }
 
 /// Parks for `total` on the service clock; `false` means the attempt
@@ -1296,7 +1421,7 @@ fn timeout_report(inner: &Inner, job: &Job, deaths: u32) -> StreamReport {
 /// Publishes the verdict and folds it, with the queue accounting of
 /// `rx` (the stream's receiver, still owned by the caller), into the
 /// telemetry.
-fn finalize(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Vec<u8>>, report: StreamReport) {
+fn finalize(inner: &Inner, job: &Arc<Job>, rx: &Receiver<Fed>, report: StreamReport) {
     {
         let mut acc = inner.stats.lock();
         let t = entry_mut(&mut acc.tenants, &job.tenant);

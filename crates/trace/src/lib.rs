@@ -44,7 +44,7 @@ pub use gentest::{generate_test, sanitize_test_name};
 pub use minimize::{is_one_minimal, minimize, MinimizeReport};
 pub use replay::{
     canonical_verdict, replay, replay_trace, verdict_line, Detector, MustTarget, ReplayOutcome,
-    ReplayTarget, StoreTarget,
+    ReplayTarget, Replayer, StoreTarget,
 };
 pub use salvage::salvage;
 pub use stream::{StreamDecoder, StreamEnd};

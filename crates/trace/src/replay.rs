@@ -15,6 +15,12 @@
 //! verdict matches the live run — which the fidelity tests prove across
 //! the whole microbenchmark suite.
 //!
+//! The schedule is one incremental machine, [`Replayer`]: events are
+//! pushed in wire order (rank-major, each rank closed by its `Finish`)
+//! and run the moment the schedule reaches them, so a served stream is
+//! analyzed as its bytes arrive. [`replay_trace`] is that machine fed a
+//! whole trace, then finished.
+//!
 //! ## Targets
 //!
 //! * [`StoreTarget`] drives the RMA-Analyzer epoch protocol,
@@ -31,6 +37,8 @@ use rma_monitor::epoch::{rma_halves, EpochState};
 use rma_monitor::Algorithm;
 use rma_must::MustRma;
 use rma_sim::{LocalEvent, Monitor, RmaEvent, WinId};
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Result of replaying a trace through a detector.
 #[derive(Debug)]
@@ -145,64 +153,288 @@ fn pending_of(ev: &TraceEvent) -> Option<Pending> {
     }
 }
 
-/// Replays `trace` into `target`. See the module docs for the schedule.
-pub fn replay_trace(trace: &Trace, mut target: Box<dyn ReplayTarget + '_>) -> ReplayOutcome {
-    let n = trace.streams.len();
-    target.start(trace.header.nranks);
-    let mut cursor = vec![0usize; n];
-    let mut parked: Vec<Option<(Pending, TraceEvent)>> = vec![None; n];
-    let mut finished = vec![false; n];
-    let mut fed = 0usize;
-    let complete = loop {
-        // Run every unparked, unfinished rank to its next sync point.
-        for r in 0..n {
-            if finished[r] || parked[r].is_some() {
-                continue;
-            }
-            let rank = RankId(r as u32);
-            let stream = &trace.streams[r];
-            loop {
-                let Some(ev) = stream.get(cursor[r]) else {
-                    finished[r] = true; // stream ended without Finish
+/// A run of one rank's arrived events: `events.all()[lo..hi]`.
+struct Seg<'a> {
+    events: Events<'a>,
+    lo: usize,
+    hi: usize,
+}
+
+/// Arrived events: a borrowed slice, a batch one rank owns, or a batch
+/// shared by the ranks it straddles.
+enum Events<'a> {
+    Borrowed(&'a [TraceEvent]),
+    Owned(Vec<TraceEvent>),
+    Shared(Rc<Vec<TraceEvent>>),
+}
+
+impl<'a> Events<'a> {
+    fn all(&self) -> &[TraceEvent] {
+        match self {
+            Events::Borrowed(s) => s,
+            Events::Owned(v) => v,
+            Events::Shared(v) => v,
+        }
+    }
+
+    /// A second handle on the same events; an owned batch becomes
+    /// shared first. Never copies an event.
+    fn share(&mut self) -> Events<'a> {
+        if let Events::Owned(v) = self {
+            *self = Events::Shared(Rc::new(std::mem::take(v)));
+        }
+        match self {
+            Events::Borrowed(s) => Events::Borrowed(s),
+            Events::Shared(v) => Events::Shared(v.clone()),
+            Events::Owned(_) => unreachable!("made shared above"),
+        }
+    }
+}
+
+/// One rank's side of the schedule.
+#[derive(Default)]
+struct RankState<'a> {
+    /// The oldest arrived segment the schedule has not run yet; `rest`
+    /// holds any later ones. Inline, because a rank rarely holds more
+    /// than one.
+    head: Option<Seg<'a>>,
+    rest: VecDeque<Seg<'a>>,
+    /// No more events will arrive: the rank's `Finish` arrived, or
+    /// [`Replayer::end_rank`] ended its stream.
+    closed: bool,
+    /// The collective the rank is parked on.
+    parked: Option<(Pending, TraceEvent)>,
+    finished: bool,
+}
+
+impl<'a> RankState<'a> {
+    /// Runs the rank to its next sync point. `false` means it ran out
+    /// of arrived events mid-run and more may still come; with `ended`
+    /// (the input is over) or a closed stream, running out finishes the
+    /// rank instead — a stream that ended without `Finish`.
+    fn run(
+        &mut self,
+        rank: RankId,
+        target: &mut dyn ReplayTarget,
+        fed: &mut usize,
+        ended: bool,
+    ) -> bool {
+        while self.parked.is_none() && !self.finished {
+            let Some(seg) = self.head.as_mut() else {
+                if self.closed || ended {
+                    self.finished = true;
                     break;
-                };
-                cursor[r] += 1;
-                fed += 1;
+                }
+                return false;
+            };
+            let events = &seg.events.all()[seg.lo..seg.hi];
+            let mut used = events.len();
+            for (i, ev) in events.iter().enumerate() {
                 if let Some(p) = pending_of(ev) {
                     target.arrive(rank, ev);
-                    parked[r] = Some((p, *ev));
-                    break;
-                }
-                if matches!(ev, TraceEvent::Finish) {
+                    self.parked = Some((p, *ev));
+                } else if matches!(ev, TraceEvent::Finish) {
                     target.rank_finish(rank);
-                    finished[r] = true;
-                    break;
+                    self.finished = true;
+                } else {
+                    target.event(rank, ev);
+                    continue;
                 }
-                target.event(rank, ev);
+                used = i + 1;
+                break;
+            }
+            *fed += used;
+            seg.lo += used;
+            if seg.lo == seg.hi {
+                self.head = self.rest.pop_front();
             }
         }
-        if finished.iter().all(|&f| f) {
-            break true;
+        true
+    }
+
+    fn queue(&mut self, seg: Seg<'a>) {
+        if self.head.is_none() {
+            self.head = Some(seg);
+        } else {
+            self.rest.push_back(seg);
         }
-        // Every unfinished rank is parked now. A collective releases only
-        // when *all* ranks (none finished) park on a matching record.
-        let all_parked_same = !finished.iter().any(|&f| f)
-            && parked.iter().all(|p| {
-                p.as_ref().map(|(k, _)| k) == parked[0].as_ref().map(|(k, _)| k)
-            });
-        if !all_parked_same {
-            // Some rank finished while others wait, or mismatched
-            // collectives: the live run could never release this — the
-            // trace is truncated or torn.
-            break false;
+    }
+
+    /// Segments queued.
+    #[cfg(test)]
+    fn queued(&self) -> usize {
+        usize::from(self.head.is_some()) + self.rest.len()
+    }
+
+    fn clear(&mut self) {
+        self.head = None;
+        self.rest.clear();
+    }
+}
+
+/// The replay schedule as an incremental machine: events go in as they
+/// arrive, in wire order, and each is run the moment the schedule
+/// reaches it. See the module docs for the schedule; [`replay_trace`]
+/// is this machine fed a whole trace.
+///
+/// Wire order is rank-major: rank 0's stream, then rank 1's, each
+/// closed by its `Finish`. The schedule runs as far as the arrived
+/// events allow, then waits where it stands. Events it cannot run yet
+/// (a rank the round-robin has not reached, or one parked on a
+/// collective) stay queued as the batches they arrived in, shared
+/// between the ranks a batch straddles, never copied. A single-rank
+/// stream therefore holds at most the batch being run.
+pub struct Replayer<'a> {
+    target: Box<dyn ReplayTarget + 'a>,
+    ranks: Vec<RankState<'a>>,
+    /// The rank whose events arrive next.
+    arriving: usize,
+    /// The rank the current round-robin pass runs next.
+    next: usize,
+    fed: usize,
+    /// Set once the schedule is over: `true` when every rank finished.
+    complete: Option<bool>,
+}
+
+impl<'a> Replayer<'a> {
+    /// A replay of an `nranks`-rank stream into `target`.
+    pub fn new(nranks: u32, target: Box<dyn ReplayTarget + 'a>) -> Replayer<'a> {
+        Replayer::with_streams(nranks, nranks as usize, target)
+    }
+
+    /// `target` starts with `nranks`; the schedule runs `streams` ranks.
+    fn with_streams(
+        nranks: u32,
+        streams: usize,
+        mut target: Box<dyn ReplayTarget + 'a>,
+    ) -> Replayer<'a> {
+        target.start(nranks);
+        Replayer {
+            target,
+            ranks: (0..streams).map(|_| RankState::default()).collect(),
+            arriving: 0,
+            next: 0,
+            fed: 0,
+            complete: None,
         }
-        let (_, rep) = parked[0].take().expect("all ranks parked");
-        for p in parked.iter_mut() {
-            *p = None;
+    }
+
+    /// The next events in wire order; a `Finish` closes the arriving
+    /// rank. Runs the schedule as far as they allow. Events past the
+    /// last rank, or pushed after the schedule ended, are ignored.
+    pub fn push(&mut self, batch: Vec<TraceEvent>) {
+        if !batch.is_empty() {
+            self.arrive(Events::Owned(batch));
         }
-        target.release(&rep);
-    };
-    target.finish(fed, complete)
+    }
+
+    /// Ends the arriving rank's stream where it stands, without a
+    /// `Finish` — a truncated recording. The wire form never needs it.
+    pub fn end_rank(&mut self) {
+        if let Some(rank) = self.ranks.get_mut(self.arriving) {
+            rank.closed = true;
+            self.arriving += 1;
+            self.advance(false);
+        }
+    }
+
+    /// The input is over: runs the schedule to its end and produces the
+    /// verdict. Ranks still short of `Finish` end where their events do.
+    pub fn finish(mut self) -> ReplayOutcome {
+        self.advance(true);
+        let complete = self.complete.expect("an ended input always ends the schedule");
+        self.target.finish(self.fed, complete)
+    }
+
+    /// Segments of arrived events the schedule has not run yet.
+    #[cfg(test)]
+    fn queued(&self) -> usize {
+        self.ranks.iter().map(RankState::queued).sum()
+    }
+
+    fn arrive(&mut self, mut events: Events<'a>) {
+        if self.complete.is_some() {
+            return;
+        }
+        let len = events.all().len();
+        let mut lo = 0;
+        while lo < len && self.arriving < self.ranks.len() {
+            let finish = events.all()[lo..].iter().position(|e| matches!(e, TraceEvent::Finish));
+            let hi = finish.map_or(len, |i| lo + i + 1);
+            // The last rank this batch reaches takes it; the ranks before
+            // share it.
+            let events = if hi == len || self.arriving + 1 == self.ranks.len() {
+                std::mem::replace(&mut events, Events::Borrowed(&[]))
+            } else {
+                events.share()
+            };
+            let rank = &mut self.ranks[self.arriving];
+            rank.queue(Seg { events, lo, hi });
+            if finish.is_some() {
+                rank.closed = true;
+                self.arriving += 1;
+            }
+            lo = hi;
+        }
+        self.advance(false);
+    }
+
+    /// Runs the round-robin passes and collective releases as far as
+    /// the arrived events allow (all of them once `ended`).
+    fn advance(&mut self, ended: bool) {
+        let Replayer { target, ranks, next, fed, complete, .. } = self;
+        while complete.is_none() {
+            // Run every unparked, unfinished rank to its next sync point.
+            while let Some(rank) = ranks.get_mut(*next) {
+                if !rank.run(RankId(*next as u32), target.as_mut(), fed, ended) {
+                    return; // wait for more of this rank's events
+                }
+                *next += 1;
+            }
+            *next = 0;
+            if ranks.iter().all(|r| r.finished) {
+                *complete = Some(true);
+                break;
+            }
+            // Every unfinished rank is parked now. A collective releases
+            // only when *all* ranks (none finished) park on a matching
+            // record.
+            let first = ranks[0].parked.map(|(p, _)| p);
+            if ranks.iter().any(|r| r.finished || r.parked.map(|(p, _)| p) != first) {
+                // Some rank finished while others wait, or mismatched
+                // collectives: the live run could never release this —
+                // the trace is truncated or torn.
+                *complete = Some(false);
+                break;
+            }
+            let (_, rep) = ranks[0].parked.expect("all ranks parked");
+            for r in ranks.iter_mut() {
+                r.parked = None;
+            }
+            target.release(&rep);
+        }
+        // The schedule is over: nothing queued will ever run.
+        for r in ranks.iter_mut() {
+            r.clear();
+        }
+    }
+}
+
+/// Replays `trace` into `target`: every rank's stream pushed into one
+/// [`Replayer`], then finished. See the module docs for the schedule.
+pub fn replay_trace(trace: &Trace, target: Box<dyn ReplayTarget + '_>) -> ReplayOutcome {
+    let mut rep = Replayer::with_streams(trace.header.nranks, trace.streams.len(), target);
+    for stream in &trace.streams {
+        // A rank's stream ends at its first `Finish`, else at its end.
+        match stream.iter().position(|e| matches!(e, TraceEvent::Finish)) {
+            Some(i) => rep.arrive(Events::Borrowed(&stream[..=i])),
+            None => {
+                rep.arrive(Events::Borrowed(stream));
+                rep.end_rank();
+            }
+        }
+    }
+    rep.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -544,6 +776,44 @@ mod tests {
         s0.truncate(cut);
         let out = replay(&trace, Detector::FragMerge);
         assert!(!out.complete);
+    }
+
+    #[test]
+    fn a_single_rank_stream_is_replayed_as_it_arrives() {
+        let writer = Arc::new(TraceWriter::new("solo", 3));
+        let out = World::run(WorldCfg::with_ranks(1), writer.clone(), |ctx| {
+            let win = ctx.win_allocate(64);
+            let buf = ctx.alloc(8);
+            for _ in 0..3 {
+                ctx.win_lock_all(win);
+                ctx.put(&buf, 0, 8, RankId(0), 0, win);
+                ctx.win_unlock_all(win);
+            }
+            ctx.win_fence(win);
+            ctx.barrier();
+        });
+        assert!(out.is_clean());
+        let trace = writer.trace();
+        let whole = replay(&trace, Detector::FragMerge);
+        assert!(whole.complete && whole.stats.epochs > 1);
+        let events = &trace.streams[0];
+        assert!(events.len() > 10, "{} events", events.len());
+        for size in [1, 2, 3, 5] {
+            let algo = Algorithm::FragMerge;
+            let mut rep = Replayer::new(1, Box::new(StoreTarget::new(move || algo.new_store())));
+            for batch in events.chunks(size) {
+                rep.push(batch.to_vec());
+                // Every arrived event has run: only the batch being run
+                // was ever held.
+                assert_eq!(rep.queued(), 0, "batch size {size}");
+            }
+            let inc = rep.finish();
+            assert_eq!(
+                (inc.races, inc.stats, inc.events, inc.complete),
+                (whole.races.clone(), whole.stats, whole.events, whole.complete),
+                "batch size {size}"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //! be decoded incrementally; the decoder detects the version from the
 //! header and falls back to buffering a v1 stream whole, handing it to
 //! [`crate::salvage`] at [`StreamDecoder::finish`]. v2 chunks are
-//! dropped as soon as they are decoded, so a well-formed v2 stream is
-//! ingested in O(largest record) memory on top of the decoded events.
+//! dropped as soon as they are decoded, so the decoder's own buffer
+//! stays O(largest record) for a well-formed v2 stream. The decoded
+//! events are held for `finish` unless the caller moves them out as they
+//! complete ([`StreamDecoder::take_events`]) — what the served path does,
+//! handing each batch straight to an incremental [`crate::Replayer`].
 //!
 //! Trade-off (shared with salvage layer 3): skipping the trailer means
 //! skipping the checksum. A bit flip inside a v2 record region either
@@ -117,16 +120,21 @@ pub struct StreamDecoder {
     /// `true` once a v1 header is seen: buffer whole, decode at finish.
     legacy: bool,
     state: DeltaState,
-    /// Closed (`Finish`-terminated) per-rank streams, in rank order.
-    closed: Vec<Vec<TraceEvent>>,
-    /// The stream currently being decoded.
-    cur: Vec<TraceEvent>,
+    /// Decoded events not yet moved out by `take_events`, in wire
+    /// order: rank-major, each rank's stream closed by its `Finish`.
+    events: Vec<TraceEvent>,
+    /// Rank streams that have run to `Finish`, taken or not.
+    closed_ranks: usize,
     /// First unrecoverable record error — decoding stops there, the
     /// events before it stand.
     poisoned: Option<TraceError>,
     decoded_events: usize,
     /// Epoch-boundary events decoded so far, across all rank streams.
     epoch_marks: usize,
+    /// Epoch boundaries in the stream being decoded.
+    rank_marks: usize,
+    /// The fewest epoch boundaries any closed rank stream holds.
+    min_closed_marks: Option<usize>,
 }
 
 impl StreamDecoder {
@@ -147,7 +155,7 @@ impl StreamDecoder {
 
     /// Rank streams that have run to `Finish` so far.
     pub fn closed_streams(&self) -> usize {
-        self.closed.len()
+        self.closed_ranks
     }
 
     /// Epoch-boundary events decoded so far, summed across rank
@@ -161,9 +169,28 @@ impl StreamDecoder {
     /// further bytes are trailer and are ignored.
     pub fn is_complete(&self) -> bool {
         match &self.header {
-            Some(h) => !self.legacy && self.closed.len() >= h.nranks as usize,
+            Some(h) => !self.legacy && self.closed_ranks >= h.nranks as usize,
             None => false,
         }
+    }
+
+    /// The fewest epoch boundaries any rank stream closed so far holds
+    /// (0 before one closes). Once [`is_complete`](Self::is_complete),
+    /// this is the `epochs_kept` that `finish` reports.
+    pub fn epochs_kept(&self) -> usize {
+        self.min_closed_marks.unwrap_or(0)
+    }
+
+    /// Moves out every event decoded since the last take, in wire order:
+    /// rank-major, each rank's stream closed by its `Finish`. Taken
+    /// events are no longer the decoder's: `finish` covers only the
+    /// rest, so a caller that takes reads the progress accessors instead
+    /// of finishing. The events move without a copy.
+    pub fn take_events(&mut self) -> Vec<TraceEvent> {
+        // Size the next batch like this one, so decoding does not regrow
+        // it record by record; a complete stream decodes nothing more.
+        let cap = if self.is_complete() { 0 } else { self.events.len() };
+        std::mem::replace(&mut self.events, Vec::with_capacity(cap))
     }
 
     /// Bytes currently buffered. Stays O(largest record) for a
@@ -215,7 +242,7 @@ impl StreamDecoder {
         }
         let before = self.decoded_events;
         let nranks = self.header.as_ref().map_or(0, |h| h.nranks as usize);
-        while self.consumed < self.buf.len() && self.closed.len() < nranks {
+        while self.consumed < self.buf.len() && self.closed_ranks < nranks {
             // Decode speculatively: a record cut at the chunk boundary
             // must not corrupt the committed position or delta chain.
             let mut pos = self.consumed;
@@ -227,11 +254,15 @@ impl StreamDecoder {
                     self.decoded_events += 1;
                     if is_epoch_boundary(&ev) {
                         self.epoch_marks += 1;
+                        self.rank_marks += 1;
                     }
                     let finished = matches!(ev, TraceEvent::Finish);
-                    self.cur.push(ev);
+                    self.events.push(ev);
                     if finished {
-                        self.closed.push(std::mem::take(&mut self.cur));
+                        self.closed_ranks += 1;
+                        let marks = std::mem::take(&mut self.rank_marks);
+                        self.min_closed_marks =
+                            Some(self.min_closed_marks.map_or(marks, |m| m.min(marks)));
                         self.state = DeltaState::default();
                     }
                 }
@@ -266,14 +297,28 @@ impl StreamDecoder {
             // now that the end has arrived.
             return crate::salvage(&self.buf);
         }
-        let diagnosis = (self.closed.len() < header.nranks as usize)
+        let diagnosis = (self.closed_ranks < header.nranks as usize)
             .then(|| self.poisoned.unwrap_or(TraceError::Truncated));
-        let mut streams = self.closed;
-        if !self.cur.is_empty() {
-            streams.push(self.cur);
-        }
-        Ok(StreamEnd::new(header, streams, diagnosis))
+        Ok(StreamEnd::new(header, split_ranks(self.events), diagnosis))
     }
+}
+
+/// Wire-order `events` as per-rank streams: one per `Finish`, plus the
+/// unfinished tail when there is one. Rank 0 keeps the vector; each
+/// later event is copied once.
+fn split_ranks(mut events: Vec<TraceEvent>) -> Vec<Vec<TraceEvent>> {
+    let ends: Vec<usize> = (0..events.len())
+        .filter(|&i| matches!(events[i], TraceEvent::Finish))
+        .map(|i| i + 1)
+        .filter(|&end| end < events.len())
+        .collect();
+    let mut streams: Vec<Vec<TraceEvent>> =
+        ends.iter().rev().map(|&at| events.split_off(at)).collect();
+    if !events.is_empty() {
+        streams.push(events);
+    }
+    streams.reverse();
+    streams
 }
 
 #[cfg(test)]
