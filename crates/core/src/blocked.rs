@@ -1,14 +1,16 @@
-//! The blocked engine: Algorithm 1 over bounded leaf blocks — the
-//! layout [`crate::AdaptiveStore`] promotes into once a trace grows or
-//! churns.
+//! The production engine: Algorithm 1 over bounded leaf blocks.
 //!
 //! [`BlockedStore`] keeps the epoch's sorted, pairwise **disjoint**
 //! accesses (the invariant of [`crate::FragMergeStore`]) in a sequence of
 //! leaf vecs of at most `2 · LEAF` entries each, plus a parallel index
-//! of every leaf's last `hi`. A lookup is a `partition_point` over that
-//! index, then one inside a single leaf; every stored access that
-//! intersects or touches a new one lies in one contiguous run, which may
-//! cross leaves. Steps 3–5 of Algorithm 1 run through the shared
+//! of every leaf's last `hi` once there are two or more. A lookup is a
+//! `partition_point` over that index, then one inside a single leaf;
+//! every stored access that intersects or touches a new one lies in one
+//! contiguous run, which may cross leaves. The tree's cheap-reject hull
+//! is simply the first node's `lo` and the last node's `hi`: an access
+//! clear of it goes first or last with no search, and is counted in
+//! [`StoreStats::fast_hits`] as the tree counts it. Steps 3–5 of
+//! Algorithm 1 run through the shared
 //! [`crate::fragmerge::fragment_accesses`] / `merge_accesses` passes over
 //! that run, and budget degradation through the shared `coalesce_plan`
 //! over the whole store, so snapshots and [`StoreStats`] are
@@ -35,14 +37,20 @@
 //!   entries. If the part after the insertion point is shorter than
 //!   that and fits the next leaf, it moves there instead.
 //!
-//! Every leaf is allocated once at its full capacity, `2 · LEAF`, so
-//! leaves never reallocate. No two short leaves are ever adjacent: the
+//! A store's first leaf is allocated lazily: it grows from empty,
+//! doubling, and never past `2 · LEAF`, and `clear` keeps its allocation
+//! for the next epoch. While it is the only leaf it lives on its own,
+//! with no index entry and no vec of leaves around it, so a store of a
+//! few nodes costs one allocation for its contents, as a bare vec would.
+//! Every other leaf is allocated once at its full capacity, `2 · LEAF`,
+//! and never reallocates. No two short leaves are ever adjacent: the
 //! rules above never put one next to another, and a fragment/merge
 //! splice that would leave a short leaf beside a short neighbour
 //! rebuilds the two together. So a store of `n` nodes has at most
 //! `4n / LEAF + 1` leaves, and leaf memory stays within eight times the
-//! node memory (plus one leaf), which keeps the node budget and the
-//! memory gauge, both counted in nodes, meaningful.
+//! node memory plus one leaf (the first leaf's allocation, which a
+//! cleared store keeps), which keeps the node budget and the memory
+//! gauge, both counted in nodes, meaningful.
 
 use crate::access::MemAccess;
 use crate::conflict::conflicts;
@@ -55,7 +63,8 @@ use crate::store::{AccessStore, StoreStats};
 /// grow them to `2 · LEAF` before they split. On 64-region churn, 64
 /// was faster than 32, 128 and 512.
 const LEAF: usize = 64;
-/// Allocated capacity of every leaf: no leaf ever holds more.
+/// Allocated capacity of every leaf but a store's first, which grows up
+/// to it: no leaf ever holds more.
 const CAP: usize = 2 * LEAF;
 
 /// A position in the store: (leaf, index within the leaf).
@@ -72,6 +81,14 @@ fn leaf_of(chunk: &[MemAccess]) -> Vec<MemAccess> {
     leaf
 }
 
+/// Makes room for `n` entries in `leaf` (`n <= CAP`). Only a store's
+/// first leaf is ever short of room: it doubles, from 4, up to `CAP`.
+fn fit(leaf: &mut Vec<MemAccess>, n: usize) {
+    if n > leaf.capacity() {
+        leaf.reserve_exact(n.next_power_of_two().clamp(4, CAP) - leaf.len());
+    }
+}
+
 /// Access store implementing Algorithm 1 over bounded sorted leaves
 /// (see module docs).
 ///
@@ -80,20 +97,22 @@ fn leaf_of(chunk: &[MemAccess]) -> Vec<MemAccess> {
 /// the same conservative `RMA_Write` coalescing, applied to the whole
 /// store.
 pub struct BlockedStore {
+    /// The store's only leaf while it has no other (`leaves` is then
+    /// empty), else empty. `clear` puts a leaf's allocation back here.
+    first: Vec<MemAccess>,
     /// Non-empty leaves, each sorted; concatenated they are sorted and
-    /// disjoint. Empty iff the store is.
+    /// disjoint. Empty while `first` holds the contents, if any.
     leaves: Vec<Vec<MemAccess>>,
     /// `his[i]` is the `hi` of `leaves[i]`'s last access.
     his: Vec<Addr>,
-    len: usize,
+    /// `stats.len` is the live node count.
     stats: StoreStats,
     merge_enabled: bool,
-    budget: Option<usize>,
-    /// Bounding interval of the contents: the tree's cheap-reject rule,
-    /// counted in [`StoreStats::fast_hits`] exactly as the tree counts it.
-    hull: Option<Interval>,
-    /// Scratch buffers reused across insertions.
-    inter: Vec<MemAccess>,
+    /// The node budget, `0` for none. Packed with `merge_enabled` into
+    /// one word: a store is built per (rank, window) per stream, and
+    /// its construction cost grows with its size.
+    budget: u32,
+    /// Scratch buffer for the fragment / merge passes.
     frags: Vec<MemAccess>,
 }
 
@@ -105,6 +124,7 @@ impl Default for BlockedStore {
 
 impl BlockedStore {
     /// An empty store with merging enabled (the paper's algorithm).
+    #[inline]
     pub fn new() -> Self {
         Self::with_cfg(true, None)
     }
@@ -112,74 +132,109 @@ impl BlockedStore {
     /// An empty store with the merging pass on or off and an optional
     /// node budget (clamped to at least 2; same degradation contract as
     /// [`crate::FragMergeStore::with_budget`], over the whole store).
+    #[inline]
     pub fn with_cfg(merging: bool, budget: Option<usize>) -> Self {
         BlockedStore {
+            first: Vec::new(),
             leaves: Vec::new(),
             his: Vec::new(),
-            len: 0,
             stats: StoreStats::default(),
             merge_enabled: merging,
-            budget: budget.map(|cap| cap.max(2)),
-            hull: None,
-            inter: Vec::new(),
+            budget: budget.map_or(0, |cap| u32::try_from(cap.max(2)).unwrap_or(u32::MAX)),
             frags: Vec::new(),
         }
     }
 
-    /// The node budget, if one was set.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
+    /// Every leaf, in address order (none iff the store is empty).
+    fn leaves(&self) -> &[Vec<MemAccess>] {
+        if self.leaves.is_empty() && !self.first.is_empty() {
+            std::slice::from_ref(&self.first)
+        } else {
+            &self.leaves
+        }
     }
 
-    /// Is the merging pass enabled?
-    pub fn merging_enabled(&self) -> bool {
-        self.merge_enabled
+    fn leaves_mut(&mut self) -> &mut [Vec<MemAccess>] {
+        if self.leaves.is_empty() && !self.first.is_empty() {
+            std::slice::from_mut(&mut self.first)
+        } else {
+            &mut self.leaves
+        }
+    }
+
+    /// The leaves as a vec that can gain or lose leaves: moves a lone
+    /// first leaf into it, with its index entry.
+    fn leaves_vec(&mut self) -> &mut Vec<Vec<MemAccess>> {
+        if self.leaves.is_empty() && !self.first.is_empty() {
+            self.his.push(last_hi(&self.first));
+            self.leaves.push(std::mem::take(&mut self.first));
+        }
+        &mut self.leaves
+    }
+
+    /// Refreshes leaf `l`'s index entry (a lone first leaf has none).
+    fn reindex(&mut self, l: usize) {
+        if let Some(hi) = self.his.get_mut(l) {
+            *hi = last_hi(&self.leaves[l]);
+        }
     }
 
     /// Position of the first stored access with `hi >= lo`, or the end.
     /// An answer at the head of leaf `i > 0` is given as the end of leaf
     /// `i - 1` (append before prepend).
+    #[inline]
     fn lower_bound(&self, lo: Addr) -> Pos {
+        let leaves = self.leaves();
         let l = self.his.partition_point(|&h| h < lo);
-        if l == self.leaves.len() {
-            return match self.leaves.last() {
+        if l == leaves.len() {
+            return match leaves.last() {
                 Some(leaf) => (l - 1, leaf.len()),
                 None => (0, 0),
             };
         }
         // An interleaved writer's frontier sits just before a leaf head:
         // test that before searching the leaf.
-        let leaf = &self.leaves[l];
+        let leaf = &leaves[l];
         let i = if leaf[0].interval.hi >= lo {
             0
+        } else if last_hi(leaf) < lo {
+            leaf.len()
         } else {
             leaf.partition_point(|a| a.interval.hi < lo)
         };
         match i {
-            0 if l > 0 => (l - 1, self.leaves[l - 1].len()),
+            0 if l > 0 => (l - 1, leaves[l - 1].len()),
             i => (l, i),
         }
     }
 
-    /// End (exclusive) of the run of accesses from `start` on whose
-    /// `lo <= hi`. Equals `start` when the run is empty.
-    fn run_end(&self, (mut l, mut i): Pos, hi: Addr) -> Pos {
-        while let Some(leaf) = self.leaves.get(l) {
-            while i < leaf.len() && leaf[i].interval.lo <= hi {
+    /// Steps 1 and 2 in one pass: the end (exclusive) of the run of
+    /// accesses from `start` on whose `lo <= hi`, or the first of them
+    /// that conflicts with `acc`, in address order like the tree's
+    /// overlap walk (`conflicts` requires intersection, so touching
+    /// neighbours in the run never report).
+    fn scan(&self, (mut l, mut i): Pos, acc: &MemAccess, hi: Addr) -> Result<Pos, MemAccess> {
+        let leaves = self.leaves();
+        while let Some(leaf) = leaves.get(l) {
+            while let Some(stored) = leaf.get(i).filter(|s| s.interval.lo <= hi) {
+                if conflicts(stored, acc) {
+                    return Err(*stored);
+                }
                 i += 1;
             }
-            match self.leaves.get(l + 1) {
+            match leaves.get(l + 1) {
                 Some(next) if i == leaf.len() && next[0].interval.lo <= hi => (l, i) = (l + 1, 0),
                 _ => break,
             }
         }
-        (l, i)
+        Ok((l, i))
     }
 
     /// The run `start..end` as one slice per leaf, in address order.
     fn run(&self, start: Pos, end: Pos) -> impl Iterator<Item = &[MemAccess]> {
+        let leaves = self.leaves();
         (start.0..=end.0).map(move |l| {
-            let leaf = &self.leaves[l];
+            let leaf = &leaves[l];
             let from = if l == start.0 { start.1 } else { 0 };
             let to = if l == end.0 { end.1 } else { leaf.len() };
             &leaf[from..to]
@@ -188,29 +243,40 @@ impl BlockedStore {
 
     /// Inserts an access that neither intersects nor touches anything
     /// stored at `at` (steps 2–4 degenerate to `frags = [acc]`).
+    #[inline]
     fn insert_gap(&mut self, (l, i): Pos, acc: MemAccess) {
         self.stats.fragments += 1;
-        self.len += 1;
-        let n = self.leaves.get(l).map_or(0, Vec::len);
-        let next = self.leaves.get(l + 1).map(Vec::len);
-        if n == 0 {
-            self.leaves.push(leaf_of(&[acc]));
-            self.his.push(acc.interval.hi);
-        } else if n < CAP {
-            let leaf = &mut self.leaves[l];
-            leaf.insert(i, acc);
-            self.his[l] = last_hi(leaf);
-        } else if i == n && next.is_some_and(|m| m < LEAF / 2) {
-            // Full, and the next leaf is short: prepend to it (a writer
-            // descending into the leaf it opened).
+        self.stats.len += 1;
+        match self.leaves_mut().get_mut(l) {
+            None => {
+                fit(&mut self.first, 1);
+                self.first.push(acc);
+            }
+            Some(leaf) if leaf.len() < CAP => {
+                fit(leaf, leaf.len() + 1);
+                leaf.insert(i, acc);
+                self.reindex(l);
+            }
+            Some(_) => self.insert_full((l, i), acc),
+        }
+        self.grew();
+    }
+
+    /// [`Self::insert_gap`] into the full leaf `l`.
+    #[inline(never)]
+    fn insert_full(&mut self, (l, i): Pos, acc: MemAccess) {
+        let next = self.leaves().get(l + 1).map(Vec::len);
+        if i == CAP && next.is_some_and(|m| m < LEAF / 2) {
+            // The next leaf is short: prepend to it (a writer descending
+            // into the leaf it opened).
             self.leaves[l + 1].insert(0, acc);
-        } else if i == n {
-            // Full, appending past its end: open a leaf for the writer.
-            self.leaves.insert(l + 1, leaf_of(&[acc]));
+        } else if i == CAP {
+            // Appending past its end: open a leaf for the writer.
+            self.leaves_vec().insert(l + 1, leaf_of(&[acc]));
             self.his.insert(l + 1, acc.interval.hi);
-        } else if n - i < LEAF / 2 && next.is_some_and(|m| m + n - i <= CAP) {
-            // Full, with a short tail that fits the next leaf: hand the
-            // tail over, so the access ends this leaf.
+        } else if CAP - i < LEAF / 2 && next.is_some_and(|m| m + CAP - i <= CAP) {
+            // A short tail that fits the next leaf: hand the tail over,
+            // so the access ends this leaf.
             let (head, rest) = self.leaves.split_at_mut(l + 1);
             let leaf = &mut head[l];
             rest[0].splice(0..0, leaf[i..].iter().copied());
@@ -218,10 +284,10 @@ impl BlockedStore {
             leaf.push(acc);
             self.his[l] = acc.interval.hi;
         } else {
-            // Full: split at the insertion point, moved just far enough
-            // that both halves keep half a leaf.
+            // Split at the insertion point, moved just far enough that
+            // both halves keep half a leaf.
             let at = i.clamp(LEAF / 2, CAP - LEAF / 2);
-            let leaf = &mut self.leaves[l];
+            let leaf = &mut self.leaves_vec()[l];
             let mut right = leaf_of(&leaf[at..]);
             leaf.truncate(at);
             if i <= at {
@@ -233,13 +299,12 @@ impl BlockedStore {
             self.his.insert(l + 1, last_hi(&right));
             self.leaves.insert(l + 1, right);
         }
-        self.grew(acc.interval);
     }
 
     /// Is leaf `l` present and shorter than half a leaf? No two such
     /// leaves are ever adjacent.
     fn short(&self, l: usize) -> bool {
-        self.leaves.get(l).is_some_and(|leaf| leaf.len() < LEAF / 2)
+        self.leaves().get(l).is_some_and(|leaf| leaf.len() < LEAF / 2)
     }
 
     /// Step 5: replaces the run `start..end` by `repl` (non-empty). A
@@ -248,24 +313,32 @@ impl BlockedStore {
     /// the leaves the run touches, re-chunked, absorbing a short
     /// neighbour if the result is short too.
     fn replace(&mut self, start: Pos, end: Pos, repl: &[MemAccess]) {
-        let (mut l0, mut l1) = (start.0, end.0);
-        if l0 == l1 {
-            let n = self.leaves[l0].len() - (end.1 - start.1) + repl.len();
-            let beside_short = (l0 > 0 && self.short(l0 - 1)) || self.short(l0 + 1);
-            if n <= CAP && (n >= LEAF / 2 || !beside_short) {
-                let leaf = &mut self.leaves[l0];
+        let l0 = start.0;
+        if l0 == end.0 {
+            let n = self.leaves()[l0].len() - (end.1 - start.1) + repl.len();
+            let beside_short = || (l0 > 0 && self.short(l0 - 1)) || self.short(l0 + 1);
+            if n <= CAP && (n >= LEAF / 2 || !beside_short()) {
+                let leaf = &mut self.leaves_mut()[l0];
                 if repl.len() == end.1 - start.1 {
                     leaf[start.1..end.1].copy_from_slice(repl);
                 } else {
+                    fit(leaf, n);
                     leaf.splice(start.1..end.1, repl.iter().copied());
                 }
-                self.his[l0] = last_hi(leaf);
-                self.len = self.len + repl.len() - (end.1 - start.1);
+                self.reindex(l0);
+                self.stats.len = self.stats.len + repl.len() - (end.1 - start.1);
                 return;
             }
         }
-        let mut buf = std::mem::take(&mut self.inter);
-        buf.clear();
+        self.rebuild(start, end, repl);
+    }
+
+    /// [`Self::replace`] by re-chunking the leaves `start..=end` touches.
+    #[inline(never)]
+    fn rebuild(&mut self, start: Pos, end: Pos, repl: &[MemAccess]) {
+        let (mut l0, mut l1) = (start.0, end.0);
+        self.leaves_vec();
+        let mut buf = Vec::new();
         buf.extend_from_slice(&self.leaves[l0][..start.1]);
         buf.extend_from_slice(repl);
         buf.extend_from_slice(&self.leaves[l1][end.1..]);
@@ -284,54 +357,114 @@ impl BlockedStore {
         let leaves: Vec<_> = buf.chunks(size).map(leaf_of).collect();
         self.his.splice(l0..=l1, leaves.iter().map(|leaf| last_hi(leaf)));
         self.leaves.splice(l0..=l1, leaves);
-        self.len = self.len + buf.len() - old;
-        self.inter = buf;
+        self.stats.len = self.stats.len + buf.len() - old;
     }
 
-    /// Bookkeeping after any insertion: hull, peak, and the whole-store
+    /// Bookkeeping after any insertion: the peak and the whole-store
     /// budget.
-    fn grew(&mut self, iv: Interval) {
-        self.hull = Some(self.hull.map_or(iv, |h| h.hull(&iv)));
-        self.stats.peak_len = self.stats.peak_len.max(self.len);
-        if let Some(cap) = self.budget {
-            if self.len > cap {
-                if let Some(merged) = coalesce_plan(&self.snapshot(), cap / 2) {
-                    self.stats.coalesced += self.len - merged.len();
-                    self.load(&merged);
-                }
-            }
+    #[inline]
+    fn grew(&mut self) {
+        self.stats.peak_len = self.stats.peak_len.max(self.stats.len);
+        if self.budget != 0 && self.stats.len > self.budget as usize {
+            self.coalesce(self.budget as usize / 2);
+        }
+    }
+
+    /// Budget degradation through the shared plan, over the whole store.
+    #[inline(never)]
+    fn coalesce(&mut self, target: usize) {
+        if let Some(merged) = coalesce_plan(&self.snapshot(), target) {
+            self.stats.coalesced += self.stats.len - merged.len();
+            self.load(&merged);
         }
     }
 
     /// Replaces the contents by `accs` (sorted, disjoint), leaves filled
     /// to `LEAF` so inserts have room before they split.
     fn load(&mut self, accs: &[MemAccess]) {
+        self.first.clear();
         self.leaves = accs.chunks(LEAF).map(leaf_of).collect();
         self.his = self.leaves.iter().map(|leaf| last_hi(leaf)).collect();
-        self.len = accs.len();
+        self.stats.len = accs.len();
+    }
+
+    /// Steps 3–5 for a race-free access whose run is `start..end`
+    /// (non-empty): the shared fragment / merge passes over the run, then
+    /// the splice.
+    fn apply(&mut self, start: Pos, end: Pos, acc: MemAccess) {
+        let mut frags = std::mem::take(&mut self.frags);
+        if start.0 == end.0 {
+            fragment_accesses(&self.leaves()[start.0][start.1..end.1], &acc, &mut frags);
+        } else {
+            let run: Vec<MemAccess> = self.run(start, end).flatten().copied().collect();
+            fragment_accesses(&run, &acc, &mut frags);
+        }
+        self.stats.fragments += frags.len();
+        if self.merge_enabled {
+            self.stats.merges += merge_accesses(&mut frags);
+        }
+        self.replace(start, end, &frags);
+        self.frags = frags;
+        self.grew();
+    }
+
+    /// `record` for an access that intersects or touches the hull.
+    /// Steps 1 and 2 find the run (or the race); an empty run is a gap.
+    /// Kept out of line: a small `record` keeps the fast path cheap to
+    /// call (on the 20-event corpus traces, a few percent of a replay).
+    #[inline(never)]
+    fn record_within_hull(&mut self, acc: MemAccess) -> Result<(), Box<RaceReport>> {
+        let q = acc.interval.widened();
+        let mut start = self.lower_bound(q.lo);
+        let end = match self.scan(start, &acc, q.hi) {
+            Ok(end) => end,
+            Err(stored) => {
+                self.stats.races += 1;
+                return Err(Box::new(RaceReport::new(stored, acc)));
+            }
+        };
+        if start == end {
+            self.insert_gap(start, acc);
+            return Ok(());
+        }
+        if start.1 == self.leaves()[start.0].len() {
+            start = (start.0 + 1, 0);
+        }
+
+        self.apply(start, end, acc);
+        Ok(())
     }
 
     /// Checks the leaf invariants (test helper): leaves non-empty and
-    /// bounded, no two short leaves side by side, never reallocated, the
+    /// bounded, no two short leaves side by side, a lone leaf's
+    /// capacity within `CAP` and every other leaf's exactly `CAP`, the
     /// index in step, and the contents sorted and disjoint. Panics on
     /// violation.
     pub fn assert_invariants(&self) {
+        assert!(self.leaves.is_empty() || self.first.is_empty(), "first leaf held twice");
         assert_eq!(self.leaves.len(), self.his.len(), "index out of step");
-        let n = self.leaves.len();
-        for (l, (leaf, &hi)) in self.leaves.iter().zip(&self.his).enumerate() {
-            assert!(!leaf.is_empty() && leaf.len() <= 2 * LEAF, "leaf size {}", leaf.len());
+        let leaves = self.leaves();
+        let n = leaves.len();
+        for (l, leaf) in leaves.iter().enumerate() {
+            assert!(!leaf.is_empty() && leaf.len() <= CAP, "leaf size {}", leaf.len());
             assert!(
                 !(self.short(l) && self.short(l + 1)),
                 "leaves {l} and {} of {n} are both short: {} and {} entries",
                 l + 1,
                 leaf.len(),
-                self.leaves[l + 1].len()
+                leaves[l + 1].len()
             );
-            assert_eq!(leaf.capacity(), CAP, "leaf reallocated");
+            if n == 1 {
+                assert!(leaf.capacity() <= CAP, "lone leaf grew to {}", leaf.capacity());
+            } else {
+                assert_eq!(leaf.capacity(), CAP, "leaf reallocated");
+            }
+        }
+        for (leaf, &hi) in self.leaves.iter().zip(&self.his) {
             assert_eq!(last_hi(leaf), hi, "stale index entry");
         }
         let snap = self.snapshot();
-        assert_eq!(snap.len(), self.len, "length out of step");
+        assert_eq!(snap.len(), self.stats.len, "length out of step");
         for w in snap.windows(2) {
             assert!(
                 w[0].interval.hi < w[1].interval.lo,
@@ -347,88 +480,60 @@ impl AccessStore for BlockedStore {
     fn record(&mut self, acc: MemAccess) -> Result<(), Box<RaceReport>> {
         self.stats.recorded += 1;
 
-        // The tree's cheap-reject rule, counted the same way.
-        if !self.hull.is_some_and(|h| acc.interval.intersects_or_touches(&h)) {
-            self.stats.fast_hits += 1;
-            self.insert_gap(self.lower_bound(acc.interval.lo), acc);
-            return Ok(());
-        }
-
-        // 2. The widened query: one run, possibly across leaves.
-        let q = acc.interval.widened();
-        let mut start = self.lower_bound(q.lo);
-        let end = self.run_end(start, q.hi);
-        if start == end {
-            self.insert_gap(start, acc);
-            return Ok(());
-        }
-        if start.1 == self.leaves[start.0].len() {
-            start = (start.0 + 1, 0);
-        }
-
-        // 1. Race check, in address order like the tree's overlap walk
-        //    (`conflicts` requires intersection, so touching neighbours
-        //    in the run never report).
-        let hit = self.run(start, end).flatten().find(|s| conflicts(s, &acc)).copied();
-        if let Some(stored) = hit {
-            self.stats.races += 1;
-            return Err(Box::new(RaceReport::new(stored, acc)));
-        }
-
-        // 3–4. Shared fragment / merge passes over the run.
-        let mut frags = std::mem::take(&mut self.frags);
-        if start.0 == end.0 {
-            fragment_accesses(&self.leaves[start.0][start.1..end.1], &acc, &mut frags);
-        } else {
-            let mut inter = std::mem::take(&mut self.inter);
-            inter.clear();
-            for part in self.run(start, end) {
-                inter.extend_from_slice(part);
+        // The tree's cheap-reject rule, counted the same way: clear of
+        // the contents' bounds, the access goes first or last.
+        let leaves = self.leaves();
+        let fast = match (leaves.first(), leaves.last()) {
+            (Some(first), Some(last)) => {
+                let hull = Interval { lo: first[0].interval.lo, hi: last_hi(last) };
+                if acc.interval.intersects_or_touches(&hull) {
+                    None
+                } else if acc.interval.hi < hull.lo {
+                    Some((0, 0))
+                } else {
+                    Some((leaves.len() - 1, last.len()))
+                }
             }
-            fragment_accesses(&inter, &acc, &mut frags);
-            self.inter = inter;
+            _ => Some((0, 0)),
+        };
+        match fast {
+            Some(at) => {
+                self.stats.fast_hits += 1;
+                self.insert_gap(at, acc);
+                Ok(())
+            }
+            None => self.record_within_hull(acc),
         }
-        self.stats.fragments += frags.len();
-        if self.merge_enabled {
-            self.stats.merges += merge_accesses(&mut frags);
-        }
-
-        // 5. Splice the result back.
-        self.replace(start, end, &frags);
-        self.frags = frags;
-        self.grew(acc.interval);
-        Ok(())
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.stats.len
     }
 
     fn stats(&self) -> StoreStats {
-        StoreStats { len: self.len, ..self.stats }
+        self.stats
     }
 
     fn clear(&mut self) {
-        self.stats.on_clear(self.len);
-        self.leaves.clear();
-        self.his.clear();
-        self.len = 0;
-        self.hull = None;
+        self.stats.on_clear(self.stats.len);
+        if !self.leaves.is_empty() {
+            self.first = self.leaves.swap_remove(0);
+            self.leaves.clear();
+            self.his.clear();
+        }
+        self.first.clear(); // keeps its allocation for the next epoch
+        self.stats.len = 0;
     }
 
     fn snapshot(&self) -> Vec<MemAccess> {
-        self.leaves.concat()
+        self.leaves().concat()
     }
 
     /// Exact rollback, mirroring [`crate::FragMergeStore::restore`]: the
-    /// snapshot is loaded verbatim and the hull rebuilt from its bounds.
+    /// snapshot is loaded verbatim (the hull is its bounds).
     fn restore(&mut self, snap: &[MemAccess]) {
         self.load(snap);
-        self.hull = match (snap.first(), snap.last()) {
-            (Some(f), Some(l)) => Some(Interval::new(f.interval.lo, l.interval.hi)),
-            _ => None,
-        };
-        self.stats.peak_len = self.stats.peak_len.max(self.len);
+        self.stats.peak_len = self.stats.peak_len.max(self.stats.len);
     }
 }
 
@@ -460,12 +565,12 @@ mod tests {
         assert_eq!(b.snapshot(), t.snapshot());
         assert_eq!(b.stats(), t.stats());
         // Every leaf holds a single writer's region.
-        for leaf in &b.leaves {
+        for leaf in b.leaves() {
             assert_eq!(leaf[0].interval.lo >> 20, leaf[leaf.len() - 1].interval.lo >> 20);
         }
         // Leaves are dense: appends fill them to 2·LEAF before a writer
         // opens its next leaf.
-        assert!(b.leaves.len() <= 16000 / CAP + 16, "{} leaves", b.leaves.len());
+        assert!(b.leaves().len() <= 16000 / CAP + 16, "{} leaves", b.leaves().len());
     }
 
     /// Replays `accs` into a blocked store and the tree, step by step,
@@ -476,7 +581,7 @@ mod tests {
         for a in accs {
             assert_eq!(b.record(a), t.record(a));
             b.assert_invariants(); // no two short leaves side by side
-            let (leaves, n) = (b.leaves.len(), b.len);
+            let (leaves, n) = (b.leaves().len(), b.stats.len);
             assert!(leaves <= 4 * n / LEAF + 1, "{leaves} leaves for {n} nodes");
         }
         assert_eq!(b.snapshot(), t.snapshot());
@@ -495,7 +600,8 @@ mod tests {
             acc(lo, lo + 1, LocalRead, 0, 2)
         });
         let b = replay_bounded(below.chain(above));
-        assert!(b.leaves.len() <= 5127 / (CAP - LEAF / 2) + 4, "{} leaves", b.leaves.len());
+        let leaves = b.leaves().len();
+        assert!(leaves <= 5127 / (CAP - LEAF / 2) + 4, "{leaves} leaves");
     }
 
     /// Descending writers at leaf boundaries, between full leaves of
@@ -524,7 +630,7 @@ mod tests {
         let from = 14 * CAP as u64;
         let gaps = (from..n - 1).map(|i| acc(3 * i + 2, 3 * i + 2, LocalRead, 0, 1));
         let b = replay_bounded(fill.chain(gaps));
-        assert_eq!(b.len, from as usize + 1);
+        assert_eq!(b.stats.len, from as usize + 1);
     }
 
     /// A split keeps both halves at least half a leaf long, even when
@@ -536,7 +642,7 @@ mod tests {
         // two lowest of the original accesses.
         let edges = [acc(0, 0, LocalRead, 0, 2), acc(1003, 1003, LocalRead, 0, 3)];
         let b = replay_bounded(full.chain(edges));
-        let lens: Vec<usize> = b.leaves.iter().map(Vec::len).collect();
+        let lens: Vec<usize> = b.leaves().iter().map(Vec::len).collect();
         assert!(lens.iter().all(|&n| n >= LEAF / 2), "{lens:?}");
     }
 
@@ -555,5 +661,71 @@ mod tests {
         let fast = b.stats().fast_hits;
         b.record(acc(10_000, 10_009, LocalWrite, 0, 3)).unwrap();
         assert_eq!(b.stats().fast_hits, fast + 1, "stale hull must not linger");
+    }
+
+    /// The first leaf grows from empty, doubling, and stops at `CAP`:
+    /// the access past it opens a second leaf, and only then does the
+    /// store index its leaves.
+    #[test]
+    fn first_leaf_grows_to_cap_and_no_further() {
+        let mut b = BlockedStore::new();
+        let mut caps = Vec::new();
+        for i in 0..CAP as u64 {
+            b.record(acc(3 * i, 3 * i + 1, LocalRead, 0, 1)).unwrap();
+            b.assert_invariants();
+            assert_eq!((b.leaves().len(), b.his.len()), (1, 0), "one unindexed leaf");
+            caps.push(b.leaves()[0].capacity());
+        }
+        caps.dedup();
+        assert_eq!(caps, [4, 8, 16, 32, 64, 128]);
+        b.record(acc(3 * CAP as u64, 3 * CAP as u64 + 1, LocalRead, 0, 1)).unwrap();
+        b.assert_invariants();
+        assert_eq!((b.leaves().len(), b.his.len()), (2, 2));
+        assert!(b.leaves().iter().all(|leaf| leaf.capacity() == CAP));
+    }
+
+    /// `clear` keeps the first leaf's allocation, also when the store
+    /// had grown many leaves, and the next epoch records into it.
+    #[test]
+    fn clear_reuses_the_first_leaf() {
+        let mut b = BlockedStore::new();
+        for i in 0..6u64 {
+            b.record(acc(10 * i, 10 * i + 2, RmaWrite, 1, 1)).unwrap();
+        }
+        let (ptr, cap) = (b.leaves()[0].as_ptr(), b.leaves()[0].capacity());
+        let fast = b.stats().fast_hits;
+        b.clear();
+        assert!(b.leaves().is_empty() && b.stats.len == 0);
+        b.record(acc(5, 6, RmaWrite, 1, 2)).unwrap();
+        b.assert_invariants();
+        assert_eq!((b.leaves()[0].as_ptr(), b.leaves()[0].capacity()), (ptr, cap));
+        assert_eq!(b.stats().fast_hits, fast + 1, "clear must reset the cached hull");
+
+        for i in 0..1000u64 {
+            b.record(acc(100 + 3 * i, 101 + 3 * i, LocalRead, 0, 3)).unwrap();
+        }
+        assert!(b.leaves().len() > 1);
+        b.clear();
+        b.assert_invariants();
+        assert_eq!(b.first.capacity(), CAP, "a leaf survives a many-leaf epoch");
+        assert_eq!((b.stats().epochs, b.stats().cum_epoch_end_len), (2, 6 + 1001));
+    }
+
+    /// A budget crossed while the first leaf is still growing coalesces
+    /// it exactly as the tree does, and the store stays well formed.
+    #[test]
+    fn budget_coalesces_a_grown_first_leaf() {
+        let mut b = BlockedStore::with_cfg(true, Some(8));
+        let mut t = FragMergeStore::with_budget(8);
+        for i in 0..40u64 {
+            let a = acc(10 * i, 10 * i + 2, if i % 3 == 0 { RmaWrite } else { RmaRead }, 1, 1);
+            assert_eq!(b.record(a), t.record(a));
+            b.assert_invariants();
+            assert_eq!(b.snapshot(), t.snapshot(), "after access {i}");
+            assert_eq!(b.stats(), t.stats(), "after access {i}");
+        }
+        assert!(b.stats().coalesced > 0, "the budget must coalesce");
+        let probe = acc(51, 52, LocalWrite, 0, 2);
+        assert_eq!(b.record(probe), t.record(probe));
     }
 }

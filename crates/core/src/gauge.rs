@@ -280,7 +280,7 @@ impl AccessStore for MeteredStore {
 mod tests {
     use super::*;
     use crate::access::{AccessKind, MemAccess, RankId, SrcLoc};
-    use crate::flat::FlatStore;
+    use crate::blocked::BlockedStore;
     use crate::interval::Interval;
 
     fn acc(lo: u64, hi: u64) -> MemAccess {
@@ -289,8 +289,8 @@ mod tests {
 
     fn metered(gauge: &MemGauge) -> MeteredStore {
         MeteredStore::new(
-            Box::new(FlatStore::new()),
-            Box::new(|cap| Box::new(FlatStore::with_budget(cap))),
+            Box::new(BlockedStore::new()),
+            Box::new(|cap| Box::new(BlockedStore::with_cfg(true, Some(cap)))),
             gauge.clone(),
         )
     }
@@ -328,7 +328,7 @@ mod tests {
         // Every conflict the exact store reports must still be reported
         // by the browned store (possibly among extras).
         let g = MemGauge::new(4);
-        let mut exact = FlatStore::new();
+        let mut exact = BlockedStore::new();
         let mut browned = metered(&g);
         for i in 0..16 {
             exact.record(acc(i * 10, i * 10 + 2)).unwrap();

@@ -23,17 +23,13 @@
 //! A deliberately simple [`NaiveStore`] (a flat vector with an `O(n)`
 //! conflict scan) serves as a semantic reference for tests.
 //!
-//! Two cache-friendly *engines* implement the same algorithm as
-//! [`FragMergeStore`] with different data layouts: [`FlatStore`] keeps
-//! the disjoint intervals in one contiguous sorted vec (galloping
-//! lower-bound search, in-place splicing), and [`BlockedStore`] keeps
-//! them in bounded sorted leaves behind a last-`hi` index, so no insert
-//! moves more than one leaf. [`AdaptiveStore`] starts as a
-//! [`FlatStore`] and promotes to a [`BlockedStore`] once the trace grows
-//! or churns past a threshold; it is the production engine (the one the
-//! analyzer and the service build). [`FragMergeStore`] stays the
-//! paper-faithful reference every engine is differentially verified
-//! against: all three give byte-identical snapshots and statistics.
+//! [`BlockedStore`] is the production engine (the one the analyzer and
+//! the service build): the same algorithm as [`FragMergeStore`] over a
+//! cache-friendly layout, the disjoint intervals in bounded sorted leaves
+//! behind a last-`hi` index, so no insert moves more than one leaf. A
+//! store of a few nodes is one lazily grown leaf. [`FragMergeStore`]
+//! stays the paper-faithful reference the engine is differentially
+//! verified against: both give byte-identical snapshots and statistics.
 //!
 //! The crate is self-contained: it knows nothing about how accesses are
 //! produced. The companion crates `rma-sim` (an MPI-RMA runtime simulator)
@@ -60,11 +56,9 @@
 #![deny(unsafe_code)]
 
 pub mod access;
-pub mod adaptive;
 pub mod avl;
 pub mod blocked;
 pub mod conflict;
-pub mod flat;
 pub mod fragmerge;
 pub mod gauge;
 pub mod interval;
@@ -75,10 +69,8 @@ pub mod store;
 pub mod stride;
 
 pub use access::{AccessKind, MemAccess, RankId, SrcLoc};
-pub use adaptive::{AdaptiveCfg, AdaptiveStore};
 pub use blocked::BlockedStore;
 pub use conflict::{combine, conflicts, legacy_conflicts, precedence};
-pub use flat::FlatStore;
 pub use fragmerge::FragMergeStore;
 pub use gauge::{MemGauge, MeteredStore, StoreRebuild};
 pub use interval::{Addr, Interval};

@@ -26,7 +26,7 @@ use crate::reduce::KeyedReduce;
 use rma_substrate::channel::{unbounded, Receiver, Sender};
 use rma_substrate::sync::{Condvar, Mutex, RwLock};
 use rma_core::{
-    AccessStore, AdaptiveCfg, AdaptiveStore, FragMergeStore, Interval, LegacyStore, MemAccess,
+    AccessStore, BlockedStore, FragMergeStore, Interval, LegacyStore, MemAccess,
     MemGauge, MeteredStore, NaiveStore, RaceReport, StoreRebuild, StoreStats,
 };
 use rma_sim::{AbortView, HookResult, LocalEvent, Monitor, RankId, RmaEvent, WinId};
@@ -169,8 +169,7 @@ impl AnalyzerCfg {
 
     /// Builds one per-(rank, window) store: the single production store
     /// constructor (live analyzer, served replay, brownout rebuilds).
-    /// The fragmentation-based algorithms run on [`AdaptiveStore`] —
-    /// flat until it grows or churns, then blocked leaves — with
+    /// The fragmentation-based algorithms run on [`BlockedStore`], with
     /// `node_budget` as its whole-store budget; the other algorithms
     /// have one store each. The domain argument is ignored (no engine
     /// needs an address-range hint); it stays only so the perfbench
@@ -181,11 +180,7 @@ impl AnalyzerCfg {
             Algorithm::FragmentOnly => false,
             other => return other.new_store(),
         };
-        Box::new(AdaptiveStore::with_cfg(AdaptiveCfg {
-            merging,
-            budget: self.node_budget,
-            ..AdaptiveCfg::default()
-        }))
+        Box::new(BlockedStore::with_cfg(merging, self.node_budget))
     }
 
     /// Like [`AnalyzerCfg::build_store`], but the store keeps its node

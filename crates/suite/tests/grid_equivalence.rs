@@ -9,8 +9,8 @@
 //! until a synchronization point, and the transport only changes which
 //! thread performs the insertion — neither may change what the detector
 //! reports. Every grid point runs the production store
-//! ([`AnalyzerCfg::build_store`]'s adaptive engine); the tree reference
-//! is anchored separately by `replay_fidelity`, which checks adaptive
+//! ([`AnalyzerCfg::build_store`]'s blocked engine); the tree reference
+//! is anchored separately by `replay_fidelity`, which checks blocked
 //! live verdicts against tree replay on all 240 cases. The baseline
 //! sweep is computed once ([`OnceLock`]) and shared by the grid-point
 //! tests, which the harness runs in parallel.
