@@ -182,13 +182,13 @@ for CMD in salvage "replay --tolerate-truncation"; do
     esac
 done
 
-echo "==> differential campaign: store engines and the delivery x batch grid"
+echo "==> differential campaign: store engines and the delivery grid"
 # Engine-vs-tree store equivalence (the production BlockedStore against
 # FragMergeStore: exact verdicts, snapshots and statistics, with and
 # without merging and budgets; randomized, seeds checked in) and the
-# 240-case verdict sweep over delivery (Direct/Messages) x batch
-# (1/8/64): any verdict difference from the default configuration fails
-# here.
+# 240-case verdict sweep over delivery (Direct, and Messages, which
+# always batches): any verdict difference from the default
+# configuration fails here.
 timeout 300 cargo test -q --offline -p rma-core --test engine_prop
 timeout 600 cargo test -q --offline -p rma-suite --test grid_equivalence
 
@@ -198,6 +198,7 @@ echo "==> flake sweep: thread-sensitive suites, 10 runs each, oversubscribed"
 # wedged run fails CI, and nothing is skipped or retried.
 for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
     rma-trace:replay_fidelity rma-trace:replay_incremental rma-suite:grid_equivalence \
+    rma-suite:recovery \
     rma-served:service_replay rma-served:backpressure rma-served:overload \
     rma-served:journal_redelivery rma-served:caller_runs rma-served:dispatch \
     rma-served:durability rma-served:pipeline rma-substrate:channel_cancel rma-substrate:channel_wakes \

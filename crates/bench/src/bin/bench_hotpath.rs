@@ -18,9 +18,10 @@
 //! Besides the offline replays, the `live/churn` row drives the full
 //! `Messages`-mode analyzer pipeline (origin-side records, notification
 //! batching, receiver threads, epoch drain) through a two-rank simulated
-//! world on the production store with `batch_size` = 64. The live
-//! analyzer has no tree engine, so this row has no reference to be
-//! guarded against; its rounds are plain repeated samples.
+//! world on the production store (`Messages` batches 64 notifications
+//! per target, `rma_monitor::BATCH_LEN`). The live analyzer has no tree
+//! engine, so this row has no reference to be guarded against; its
+//! rounds are plain repeated samples.
 //!
 //! The JSON is byte-stable modulo the timing fields: `events`,
 //! `peak_nodes`, `fast_hit_rate` and `races` are pure functions of the
@@ -61,9 +62,6 @@ use std::time::{Duration, Instant};
 
 /// Region count of `synthetic/churn` and of the live churn run.
 const REGIONS: u64 = 4;
-
-/// Notification batch size of the live pipeline run.
-const LIVE_BATCH: usize = 64;
 
 /// Paired rounds per replay workload: full-size corpus traces, other
 /// full-size workloads, and every workload of a smoke run. Fewer than 6
@@ -192,7 +190,6 @@ fn live_churn_run(ops: u64) -> Arc<RmaAnalyzer> {
     let cfg = AnalyzerCfg {
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
-        batch_size: LIVE_BATCH,
         ..AnalyzerCfg::default()
     };
     let mon = Arc::new(RmaAnalyzer::new(cfg));

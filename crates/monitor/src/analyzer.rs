@@ -9,7 +9,9 @@
 //!   sent as a message to a per-rank receiver thread
 //!   ([`Delivery::Messages`], the paper's design: "each time a remote
 //!   access is initiated... an MPI_Send is called... a thread is created
-//!   to receive all the MPI_Send");
+//!   to receive all the MPI_Send"). Unlike the paper's tool, which sends
+//!   one message per access, `Messages` aggregates up to [`BATCH_LEN`]
+//!   notifications per (origin, target) into one message;
 //! * at `MPI_Win_unlock_all`, all processes join a reduction computing
 //!   how many remote accesses were issued towards each window, and wait
 //!   for those notifications to be processed before the epoch closes;
@@ -33,6 +35,12 @@ use rma_sim::{AbortView, HookResult, LocalEvent, Monitor, RankId, RmaEvent, WinI
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// `Messages` mode: each origin rank coalesces up to this many
+/// notifications per target into one [`Note::Batch`], flushed when the
+/// buffer fills and at every synchronization point (`unlock_all`,
+/// `fence`, `barrier`, world end).
+pub const BATCH_LEN: usize = 64;
 
 /// Which insertion algorithm backs the per-(rank, window) stores.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -120,7 +128,7 @@ pub struct AnalyzerCfg {
     pub algorithm: Algorithm,
     /// Race reaction.
     pub on_race: OnRace,
-    /// Notification transport.
+    /// Notification transport (`Messages` batches, see [`BATCH_LEN`]).
     pub delivery: Delivery,
     /// Per-store node budget: when set, every per-(rank, window) store
     /// conservatively coalesces its contents whenever the node count
@@ -133,13 +141,6 @@ pub struct AnalyzerCfg {
     /// becomes a structured world abort, never a hang. `0` disables
     /// recovery. Ignored under [`Delivery::Direct`] (no helper threads).
     pub max_respawns: u32,
-    /// `Messages`-mode batching: each origin rank coalesces up to this
-    /// many per-target notifications into one [`Note::Batch`], flushed at
-    /// synchronization points (`unlock_all`, `fence`, `barrier`, world
-    /// end) and whenever the buffer reaches the threshold. `1` (the
-    /// default) sends each notification immediately — today's behaviour.
-    /// Ignored under [`Delivery::Direct`].
-    pub batch_size: usize,
 }
 
 impl Default for AnalyzerCfg {
@@ -150,7 +151,6 @@ impl Default for AnalyzerCfg {
             delivery: Delivery::Direct,
             node_budget: None,
             max_respawns: 3,
-            batch_size: 1,
         }
     }
 }
@@ -222,22 +222,23 @@ impl WinDet {
         }
     }
 
-    /// Polls, for up to 5 s or until `cancelled`, until every
+    /// Waits, for up to 5 s or until `cancelled`, until every
     /// notification sent on this window has been processed; `true` when
     /// drained. Called with every rank thread parked in a collective.
     fn drain(&self, cancelled: impl Fn() -> bool) -> bool {
         let expected: u64 = self.sent.iter().map(|s| s.lock().iter().sum::<u64>()).sum();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let received: u64 = self.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-            if received >= expected {
-                return true;
-            }
-            if Instant::now() >= deadline || cancelled() {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        let received = || self.received.iter().map(|r| r.load(Ordering::Acquire)).sum::<u64>();
+        self.wait_until(|| received() >= expected, Duration::from_secs(5), cancelled)
+    }
+
+    /// Waits until `received[rank] >= expected`; `false` on cancel/timeout.
+    fn wait_received(&self, rank: RankId, expected: u64, cancelled: impl Fn() -> bool) -> bool {
+        let received = &self.received[rank.index()];
+        self.wait_until(
+            || received.load(Ordering::Acquire) >= expected,
+            Duration::from_secs(30),
+            cancelled,
+        )
     }
 
     /// Publishes `n` more processed notifications at `target`.
@@ -247,12 +248,20 @@ impl WinDet {
         self.recv_gate.1.notify_all();
     }
 
-    /// Waits until `received[rank] >= expected`; `false` on cancel/timeout.
-    fn wait_received(&self, rank: RankId, expected: u64, cancelled: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(30);
+    /// The one wait for processed notifications: blocks on the receive
+    /// gate, which every [`WinDet::bump_received`] notifies, until
+    /// `done`; `false` on cancel or after `patience`. Cancellation does
+    /// not notify the gate, so it is polled every 2 ms.
+    fn wait_until(
+        &self,
+        done: impl Fn() -> bool,
+        patience: Duration,
+        cancelled: impl Fn() -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + patience;
         let mut guard = self.recv_gate.0.lock();
         loop {
-            if self.received[rank.index()].load(Ordering::Acquire) >= expected {
+            if done() {
                 return true;
             }
             if cancelled() || Instant::now() >= deadline {
@@ -263,19 +272,17 @@ impl WinDet {
     }
 }
 
-/// A remote-access notification (the payload of the paper's `MPI_Send`).
-/// `seq` numbers the notifications towards one target rank monotonically
-/// (assigned under that rank's journal lock, so channel order equals
-/// sequence order): redelivery after a receiver recovery is at-least-once
-/// on the wire and the watermark check in `deliver_recv` makes it
-/// exactly-once in analysis effect.
+/// A message to a receiver thread (the payload of the paper's
+/// `MPI_Send`).
 enum Note {
-    Remote { seq: u64, win: WinId, acc: MemAccess },
-    /// A coalesced run of notifications from one origin, numbered
-    /// `base_seq..base_seq + items.len()` in order. The receiver applies
-    /// items one at a time with the same watermark discipline as
-    /// [`Note::Remote`], so a crash mid-batch leaves the watermark
-    /// mid-batch and recovery re-delivers exactly the unprocessed tail.
+    /// A run of remote-access notifications, numbered from `base_seq` in
+    /// order. Seqs number the notifications towards one target rank
+    /// monotonically (assigned under that rank's journal lock, so
+    /// channel order equals sequence order). The receiver applies
+    /// items one at a time against its watermark, so a crash mid-batch
+    /// leaves the watermark mid-batch and recovery re-delivers exactly
+    /// the unprocessed tail: at-least-once on the wire, exactly-once in
+    /// analysis effect.
     Batch { base_seq: u64, items: Vec<(WinId, MemAccess)> },
     Stop,
 }
@@ -356,9 +363,9 @@ struct Inner {
     sup: RwLock<Vec<Arc<RecvSup>>>,
     /// `Messages`-mode batch buffers, `pending[origin][target]`: window
     /// and access of every notification origin has issued towards target
-    /// but not yet flushed into target's journal + channel. Populated at
-    /// world start only when `batch_size > 1`; empty otherwise.
-    /// Lock order: buffer mutex → target journal (never the reverse).
+    /// but not yet flushed into target's journal + channel. Empty under
+    /// `Direct`. Lock order: buffer mutex → target journal (never the
+    /// reverse).
     pending: RwLock<Vec<Vec<BatchBuf>>>,
     /// Total receiver recoveries performed across all ranks.
     total_respawns: AtomicU64,
@@ -410,13 +417,12 @@ impl Inner {
     }
 
     /// `Messages`-mode receiver side: records the target halves of one
-    /// [`Note::Remote`] or [`Note::Batch`], numbered `base_seq..` in
-    /// order. The watermark makes analysis exactly-once: a redelivered
-    /// duplicate is skipped and counts nothing. A run of consecutive
-    /// same-window items is applied under a single slot-lock
-    /// acquisition, the processed count advances by the whole run at
-    /// once and the receive gate is notified once per run (waiters poll
-    /// the count every 2 ms anyway, so delivery latency is unaffected).
+    /// [`Note::Batch`], numbered `base_seq..` in order. The watermark
+    /// makes analysis exactly-once: a redelivered duplicate is skipped
+    /// and counts nothing. A run of consecutive same-window items is
+    /// applied under a single slot-lock acquisition, the processed count
+    /// advances by the whole run at once and the receive gate is
+    /// notified once per run.
     /// Races found here are escalated by the next hook on any rank
     /// thread (via `pending_poison`).
     ///
@@ -441,8 +447,8 @@ impl Inner {
             self.epoch.read().slot(win, target).with(|slot| {
                 while i < items.len() && items[i].0 == win {
                     // A kill can land mid-run: the loop exits with the
-                    // watermark mid-batch, exactly like a crash between
-                    // two per-note deliveries.
+                    // watermark mid-batch, exactly at the last item
+                    // processed.
                     if die.load(Ordering::Acquire) {
                         killed = true;
                         break;
@@ -610,28 +616,19 @@ impl RmaAnalyzer {
         let handle = std::thread::Builder::new()
             .name(format!("rma-analyzer-recv{}", rank.0))
             .spawn(move || {
-                'recv: while let Ok(note) = rx.recv() {
+                while let Ok(note) = rx.recv() {
                     // Abrupt-kill check before each note: a killed
                     // receiver abandons its backlog, modeling a crash.
                     if die_flag.load(Ordering::Acquire) {
                         break;
                     }
-                    match note {
-                        Note::Stop => break,
-                        // The kill flag is re-checked per item inside: a
-                        // crash can land mid-batch, leaving the watermark
-                        // mid-batch, and recovery must re-deliver exactly
-                        // the unprocessed tail.
-                        Note::Remote { seq, win, acc } => {
-                            if !inner.deliver_recv(&[(win, acc)], rank, seq, &die_flag) {
-                                break 'recv;
-                            }
-                        }
-                        Note::Batch { base_seq, items } => {
-                            if !inner.deliver_recv(&items, rank, base_seq, &die_flag) {
-                                break 'recv;
-                            }
-                        }
+                    // The kill flag is re-checked per item inside: a
+                    // crash can land mid-batch, leaving the watermark
+                    // mid-batch, and recovery must re-deliver exactly
+                    // the unprocessed tail.
+                    let Note::Batch { base_seq, items } = note else { break };
+                    if !inner.deliver_recv(&items, rank, base_seq, &die_flag) {
+                        break;
                     }
                 }
             })
@@ -639,45 +636,16 @@ impl RmaAnalyzer {
         RecvWorker { die, handle }
     }
 
-    /// `Messages`-mode send path: assigns the notification its sequence
-    /// number and sends it, journaled, under the target's journal lock.
-    /// A failed send means the receiver is gone *without* a fault hook
-    /// having run (spontaneous death): recovery happens lazily right
-    /// here, and beyond the budget the rank aborts the world through a
-    /// structured panic instead of losing the notification.
-    fn send_remote(&self, target: RankId, win: WinId, acc: MemAccess) -> HookResult {
-        let sup = self.inner.sup.read()[target.index()].clone();
-        let mut j = sup.journal.lock();
-        loop {
-            let seq = j.sent_seq + 1;
-            let sent = self.inner.senders.read()[target.index()]
-                .send(Note::Remote { seq, win, acc })
-                .is_ok();
-            if sent {
-                j.sent_seq = seq;
-                j.entries.push(RecvEntry::Sent { seq, win, acc });
-                return Ok(());
-            }
-            if !self.recover_locked(target, &sup, &mut j) {
-                panic!(
-                    "RMA-Analyzer receiver for rank {} died beyond the respawn \
-                     budget with notifications in flight; aborting world",
-                    target.0
-                );
-            }
-        }
-    }
-
-    /// `Messages`-mode batched send path (`batch_size > 1`): appends the
-    /// notification to the per-(origin, target) buffer and flushes it
-    /// once the size threshold is reached. Only ever called from origin's
-    /// own rank thread, so each buffer is filled single-threadedly.
+    /// `Messages`-mode send path: appends the notification to the
+    /// per-(origin, target) buffer and flushes it once it holds
+    /// [`BATCH_LEN`]. Only ever called from origin's own rank thread, so
+    /// each buffer is filled single-threadedly.
     fn buffer_remote(&self, origin: RankId, target: RankId, win: WinId, acc: MemAccess) {
         let full = {
             let pending = self.inner.pending.read();
             let mut buf = pending[origin.index()][target.index()].lock();
             buf.push((win, acc));
-            buf.len() >= self.inner.cfg.batch_size
+            buf.len() >= BATCH_LEN
         };
         if full {
             self.flush_batch(origin, target);
@@ -686,19 +654,16 @@ impl RmaAnalyzer {
 
     /// Flushes one `pending[origin][target]` buffer: assigns the run of
     /// sequence numbers and journals every entry under the target's
-    /// journal lock *before* sending the batch, so a failed send (dead
-    /// receiver) recovers through exactly the machinery `send_remote`
-    /// uses — `recover_locked` re-delivers the journaled-but-unprocessed
-    /// suffix through the fresh channel.
+    /// journal lock *before* sending the batch. A failed send means the
+    /// receiver is gone *without* a fault hook having run (spontaneous
+    /// death): recovery happens lazily right here — `recover_locked`
+    /// re-delivers the journaled-but-unprocessed suffix, this batch
+    /// included, through the fresh channel — and beyond the budget the
+    /// rank aborts the world through a structured panic instead of
+    /// losing the notifications.
     fn flush_batch(&self, origin: RankId, target: RankId) {
-        let items: Vec<(WinId, MemAccess)> = {
-            let pending = self.inner.pending.read();
-            if pending.is_empty() {
-                return;
-            }
-            let taken = std::mem::take(&mut *pending[origin.index()][target.index()].lock());
-            taken
-        };
+        let items =
+            std::mem::take(&mut *self.inner.pending.read()[origin.index()][target.index()].lock());
         if items.is_empty() {
             return;
         }
@@ -726,7 +691,7 @@ impl RmaAnalyzer {
     /// accounting reads `sent` counts that the buffered notifications
     /// already contributed to.
     fn flush_pending_from(&self, origin: RankId) {
-        if self.inner.cfg.delivery != Delivery::Messages || self.inner.cfg.batch_size <= 1 {
+        if self.inner.cfg.delivery != Delivery::Messages {
             return;
         }
         for t in 0..self.inner.nranks() {
@@ -774,7 +739,8 @@ impl RmaAnalyzer {
         // store: entries the dead receiver had processed (and all inline
         // inserts) replay silently, in journal order — their races were
         // reported the first time. Pass 2 then re-sends the unprocessed
-        // suffix through the fresh channel and the normal reporting
+        // suffix, the contiguous seqs `processed + 1..=sent_seq`, as
+        // batches through the fresh channel and the normal reporting
         // path, so its races (and `received` counts) surface exactly
         // once. The passes must not interleave: a re-sent note the fresh
         // receiver processes *before* a later silent entry would claim
@@ -794,16 +760,19 @@ impl RmaAnalyzer {
             let _ = epoch.slot(*win, rank).with(|s| s.store().record(*acc));
         }
         drop(epoch);
-        for e in &j.entries {
-            if let RecvEntry::Sent { seq, win, acc } = e {
-                if *seq > processed {
-                    let _ = self.inner.senders.read()[rank.index()].send(Note::Remote {
-                        seq: *seq,
-                        win: *win,
-                        acc: *acc,
-                    });
-                }
-            }
+        let owed: Vec<(WinId, MemAccess)> = j
+            .entries
+            .iter()
+            .filter_map(|e| match e {
+                RecvEntry::Sent { seq, win, acc } if *seq > processed => Some((*win, *acc)),
+                _ => None,
+            })
+            .collect();
+        debug_assert_eq!(owed.len() as u64, j.sent_seq - processed);
+        let senders = self.inner.senders.read();
+        for (i, items) in owed.chunks(BATCH_LEN).enumerate() {
+            let base_seq = processed + 1 + (i * BATCH_LEN) as u64;
+            let _ = senders[rank.index()].send(Note::Batch { base_seq, items: items.to_vec() });
         }
         true
     }
@@ -857,12 +826,10 @@ impl Monitor for RmaAnalyzer {
                 sup.journal.lock().worker = Some(self.spawn_receiver(RankId(r), rx));
                 sups.push(sup);
             }
-            if self.inner.cfg.batch_size > 1 {
-                let n = nranks as usize;
-                *self.inner.pending.write() = (0..n)
-                    .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
-                    .collect();
-            }
+            let n = nranks as usize;
+            *self.inner.pending.write() = (0..n)
+                .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+                .collect();
         }
     }
 
@@ -946,13 +913,10 @@ impl Monitor for RmaAnalyzer {
             // `wait_received` must already observe the poison flag, or
             // it would close its epoch without escalating the abort.
             w.bump_received(ev.target, 1);
-            hook
-        } else if inner.cfg.batch_size > 1 {
-            self.buffer_remote(ev.origin, ev.target, ev.win, target_acc);
-            hook
         } else {
-            hook.and(self.send_remote(ev.target, ev.win, target_acc))
+            self.buffer_remote(ev.origin, ev.target, ev.win, target_acc);
         }
+        hook
     }
 
     fn on_flush_all(&self, rank: RankId, win: WinId) {
@@ -1027,12 +991,12 @@ impl Monitor for RmaAnalyzer {
     }
 
     fn on_fence_last(&self, win: WinId) {
-        // All rank threads are parked in the fence: drain in-flight
-        // notifications, release, then checkpoint every rank whose
-        // receiver has drained.
+        // All rank threads are parked in the fence, so no window can be
+        // allocated while it drains under the epoch read lock. Release
+        // (a window that did not drain keeps its stores: FP-only), then
+        // checkpoint every rank whose receiver has drained.
         let inner = &self.inner;
-        inner.windet(win).drain(|| inner.cancelled());
-        inner.epoch.read().fence_release(win);
+        inner.epoch.read().fence_release(win, |win| inner.windet(win).drain(|| inner.cancelled()));
         for r in 0..inner.nranks() {
             self.checkpoint_recv_if_quiescent(RankId(r));
         }

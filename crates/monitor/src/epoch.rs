@@ -164,11 +164,15 @@ impl<C: SlotCell> EpochState<C> {
     }
 
     /// Fence release: everything before the fence happens-before
-    /// everything after it, so every store of `win` is cleared. The
-    /// flushed marks survive.
-    pub fn fence_release(&self, win: WinId) {
-        for slot in self.wins[win.index()].iter() {
-            slot.with(|s| s.store.clear());
+    /// everything after it, so every store of `win` is cleared, once
+    /// `drained(win)` says every notification towards it has landed (a
+    /// window that did not drain keeps its stores: possible false
+    /// positives, never a lost race). The flushed marks survive.
+    pub fn fence_release(&self, win: WinId, drained: impl FnOnce(WinId) -> bool) {
+        if drained(win) {
+            for slot in self.wins[win.index()].iter() {
+                slot.with(|s| s.store.clear());
+            }
         }
     }
 

@@ -23,4 +23,4 @@ mod analyzer;
 pub mod epoch;
 mod reduce;
 
-pub use analyzer::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+pub use analyzer::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer, BATCH_LEN};

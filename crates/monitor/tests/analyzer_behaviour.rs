@@ -1,12 +1,16 @@
 //! End-to-end tests: simulated MPI-RMA programs under the RMA-Analyzer
 //! monitor, reproducing the paper's running examples.
 
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer, BATCH_LEN};
 use rma_sim::{RankId, World, WorldCfg};
 use std::sync::Arc;
 
 fn analyzer(algorithm: Algorithm) -> Arc<RmaAnalyzer> {
     Arc::new(RmaAnalyzer::new(AnalyzerCfg::with_algorithm(algorithm)))
+}
+
+fn delivered_by(delivery: Delivery) -> Arc<RmaAnalyzer> {
+    Arc::new(RmaAnalyzer::new(AnalyzerCfg { delivery, ..AnalyzerCfg::default() }))
 }
 
 /// Code 1 (Figure 8a): `temp = buf[4]; Put(buf[2..12]); buf[7] = 1234`.
@@ -151,6 +155,49 @@ fn messages_delivery_equivalent() {
     }
 }
 
+/// One `Messages` epoch of 200 puts to one target crosses the batch
+/// threshold three times; the put conflicting with put 3 travels in the
+/// third full batch. Every notification lands exactly once (Collect:
+/// both halves of every put recorded, one race) and the race is caught
+/// under either reaction.
+#[test]
+fn messages_epoch_past_the_batch_threshold() {
+    const PUTS: u64 = 200;
+    const CONFLICTING: u64 = 2 * BATCH_LEN as u64 + 5;
+    assert!(PUTS > 3 * BATCH_LEN as u64, "the threshold must be crossed");
+    for on_race in [OnRace::Collect, OnRace::Abort] {
+        let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
+            on_race,
+            delivery: Delivery::Messages,
+            ..AnalyzerCfg::default()
+        }));
+        let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
+            let win = ctx.win_allocate(8 * PUTS);
+            let buf = ctx.alloc(8);
+            ctx.win_lock_all(win);
+            if ctx.rank() == RankId(0) {
+                for i in 0..PUTS {
+                    // Disjoint targets, except that the put numbered
+                    // CONFLICTING rewrites put 3's bytes.
+                    let at = if i == CONFLICTING { 3 } else { i };
+                    ctx.put(&buf, 0, 8, RankId(1), 8 * at, win);
+                }
+            }
+            ctx.win_unlock_all(win);
+            ctx.barrier();
+        });
+        let races = mon.races();
+        assert_eq!(races.len(), 1, "{on_race:?}: {races:?}");
+        match on_race {
+            OnRace::Collect => {
+                assert!(out.is_clean(), "{:?}", out.aborts);
+                assert_eq!(mon.total_recorded(), 2 * PUTS as usize);
+            }
+            OnRace::Abort => assert!(out.raced(), "the race must abort the world"),
+        }
+    }
+}
+
 /// Collect mode: races recorded, world keeps running.
 #[test]
 fn collect_mode_does_not_abort() {
@@ -248,28 +295,58 @@ fn untracked_accesses_are_filtered() {
 }
 
 /// flush_all on every rank + barrier clears the stores (Section 6): the
-/// same conflicting pair split across the sync point is safe.
+/// same conflicting pair split across the sync point is safe. Under
+/// `Messages` the first put is still buffered at the barrier: unless the
+/// barrier flushes it, the drain cannot complete and the second put
+/// races with it.
 #[test]
 fn flush_all_plus_barrier_synchronizes() {
-    let mon = analyzer(Algorithm::FragMerge);
-    let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
-        let win = ctx.win_allocate(64);
-        let buf = ctx.alloc(16);
-        ctx.win_lock_all(win);
-        if ctx.rank() == RankId(0) {
-            ctx.put(&buf, 0, 16, RankId(1), 0, win);
-        }
-        ctx.win_flush_all(win);
-        ctx.barrier();
-        if ctx.rank() == RankId(0) {
-            // Same range again: safe, the flush+barrier ordered them.
-            ctx.put(&buf, 0, 16, RankId(1), 0, win);
-        }
-        ctx.win_unlock_all(win);
-        ctx.barrier();
-    });
-    assert!(out.is_clean(), "{:?}", out.aborts);
-    assert!(mon.races().is_empty());
+    for delivery in [Delivery::Direct, Delivery::Messages] {
+        let mon = delivered_by(delivery);
+        let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
+            let win = ctx.win_allocate(64);
+            let buf = ctx.alloc(16);
+            ctx.win_lock_all(win);
+            if ctx.rank() == RankId(0) {
+                ctx.put(&buf, 0, 16, RankId(1), 0, win);
+            }
+            ctx.win_flush_all(win);
+            ctx.barrier();
+            if ctx.rank() == RankId(0) {
+                // Same range again: safe, the flush+barrier ordered them.
+                ctx.put(&buf, 0, 16, RankId(1), 0, win);
+            }
+            ctx.win_unlock_all(win);
+            ctx.barrier();
+        });
+        assert!(out.is_clean(), "{delivery:?}: {:?}", out.aborts);
+        assert!(mon.races().is_empty(), "{delivery:?}");
+    }
+}
+
+/// The fence twin of [`flush_all_plus_barrier_synchronizes`]: a fence
+/// orders the same pair, so the fence must flush the buffered put
+/// before its drain.
+#[test]
+fn fence_synchronizes() {
+    for delivery in [Delivery::Direct, Delivery::Messages] {
+        let mon = delivered_by(delivery);
+        let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
+            let win = ctx.win_allocate(64);
+            let buf = ctx.alloc(16);
+            ctx.win_fence(win);
+            if ctx.rank() == RankId(0) {
+                ctx.put(&buf, 0, 16, RankId(1), 0, win);
+            }
+            ctx.win_fence(win);
+            if ctx.rank() == RankId(0) {
+                ctx.put(&buf, 0, 16, RankId(1), 0, win);
+            }
+            ctx.win_fence(win);
+        });
+        assert!(out.is_clean(), "{delivery:?}: {:?}", out.aborts);
+        assert!(mon.races().is_empty(), "{delivery:?}");
+    }
 }
 
 /// flush_all WITHOUT the barrier does not synchronize: the second put

@@ -133,11 +133,34 @@ fn fence_release_keeps_the_flushed_marks() {
     assert!(race_free(put(&st, W0, 0)));
     st.flush_all(W0, P0);
     st.flush_all(W0, P1);
-    st.fence_release(W0);
+    st.fence_release(W0, |_| true);
     assert_eq!(lens(&st)[0], vec![0, 0]);
     assert_eq!(flushed_everywhere(&st), vec![W0]);
     // The fence epoch stays open after the release.
     assert_eq!(local(&st, P0, acc(0, AccessKind::LocalRead, P0)), vec![(W0, true)]);
+}
+
+#[test]
+fn fence_release_keeps_a_window_that_did_not_drain() {
+    let st = state();
+    for w in [W0, W1] {
+        for r in [P0, P1] {
+            st.open(w, r);
+        }
+        assert!(race_free(put(&st, w, 0)));
+    }
+    let mut asked = Vec::new();
+    st.fence_release(W1, |w| {
+        asked.push(w);
+        false
+    });
+    assert_eq!(asked, vec![W1], "only the fenced window is asked about");
+    assert_eq!(lens(&st), vec![vec![1, 1], vec![1, 1]], "nothing cleared");
+    // A notification landing after the patience still meets its epoch:
+    // P1's conflicting write into P0's window is caught.
+    assert!(st.rma_target(W1, P0, acc(0, AccessKind::RmaWrite, P1)).is_err());
+    st.fence_release(W1, |_| true);
+    assert_eq!(lens(&st), vec![vec![1, 1], vec![0, 0]]);
 }
 
 #[test]

@@ -136,8 +136,8 @@ pub struct ServeCfg {
     pub detector: Detector,
     /// Store knobs (`node_budget`) for the per-stream detector stores,
     /// via [`AnalyzerCfg::build_store`].
-    /// `algorithm` is overridden by `detector`; `delivery`/`batch_size`
-    /// are live-capture knobs with no effect on offline replay.
+    /// `algorithm` is overridden by `detector`; `delivery` is a
+    /// live-capture knob with no effect on offline replay.
     pub analyzer: AnalyzerCfg,
     /// Streams analyzed at once, by pool threads or by the finishing
     /// client (min 1). The pool has this many threads; they park until

@@ -180,21 +180,23 @@ fn watchdog_fires_on_deadlocked_world() {
     assert!(!outcome.is_clean());
 }
 
-/// A slow-but-progressing world must NOT trip the watchdog: messages
-/// keep flowing, so progress keeps resetting the stall clock.
+/// A slow-but-progressing world must NOT trip the watchdog: a rank
+/// busy outside any simulator primitive is running, not blocked, however
+/// long it takes, so the stall clock never starts.
 #[test]
 fn watchdog_ignores_slow_progress() {
-    let cfg = WorldCfg { nranks: 2, watchdog_ms: 60, ..WorldCfg::default() };
+    const WINDOW_MS: u64 = 60;
+    let cfg = WorldCfg { nranks: 2, watchdog_ms: WINDOW_MS, ..WorldCfg::default() };
     let outcome = World::run(cfg, Arc::new(NullMonitor), |ctx| {
-        // Ping-pong with deliberate think time longer than a watchdog
-        // tick but with steady progress.
+        // Ping-pong whose think time outlasts the whole watchdog window
+        // while the peer waits in `recv`.
         for i in 0..4u8 {
             if ctx.rank() == RankId(0) {
                 ctx.send(RankId(1), 1, vec![i]);
                 let _ = ctx.recv(Some(RankId(1)), 2);
             } else {
                 let _ = ctx.recv(Some(RankId(0)), 1);
-                std::thread::sleep(Duration::from_millis(25));
+                std::thread::sleep(Duration::from_millis(WINDOW_MS + 40));
                 ctx.send(RankId(0), 2, vec![i]);
             }
         }

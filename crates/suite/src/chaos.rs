@@ -175,23 +175,16 @@ pub fn classify(outcome: &RunOutcome<()>, detector_raced: bool) -> Result<ChaosV
     Ok(ChaosVerdict::Clean)
 }
 
-/// The batched analyzer configuration additionally exercised by every
-/// kill-worker scenario: in-flight notification *batches* at the moment
-/// of the kill must redeliver exactly-once through the same journal
-/// machinery as single notes.
-const CHAOS_GRID_BATCH: usize = 8;
-
 /// The supervised detector stack used for kill-worker scenarios: the
 /// RMA-Analyzer in its receiver-thread architecture tee'd with the
 /// MUST-RMA-like detector, both collecting races and both carrying a
-/// respawn budget of [`CHAOS_RESPAWN_BUDGET`]. `batch_size` selects the
-/// analyzer's notification batching.
-fn supervised_stack(batch_size: usize) -> (Arc<dyn Monitor>, Arc<RmaAnalyzer>, Arc<MustRma>) {
+/// respawn budget of [`CHAOS_RESPAWN_BUDGET`]. Notification batches in
+/// flight at the moment of a kill must redeliver exactly-once.
+fn supervised_stack() -> (Arc<dyn Monitor>, Arc<RmaAnalyzer>, Arc<MustRma>) {
     let analyzer = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
         max_respawns: CHAOS_RESPAWN_BUDGET,
-        batch_size,
         ..AnalyzerCfg::default()
     }));
     let must = Arc::new(MustRma::with_cfg(
@@ -258,8 +251,8 @@ fn run_kill_worker_scenario(
 ) -> Result<ChaosResult, String> {
     let started = Instant::now();
 
-    // Faulted run on the supervised stack (seed configuration).
-    let (tee, analyzer, must) = supervised_stack(1);
+    // Faulted run on the supervised stack.
+    let (tee, analyzer, must) = supervised_stack();
     let outcome = run_case_with_cfg(spec, tee, cfg);
     let raced =
         outcome.raced() || !analyzer.races().is_empty() || !must.races().is_empty();
@@ -267,34 +260,17 @@ fn run_kill_worker_scenario(
     let verdict = classify(&outcome, raced)
         .map_err(|e| format!("seed {seed} ({} / {plan:?}): {e}", spec.name()))?;
 
-    // The same fault on the batched stack: a kill landing with
-    // notification batches in flight must still end in a structured
-    // verdict, and a surviving run must reach the same raced-verdict.
-    let (tee_g, analyzer_g, must_g) = supervised_stack(CHAOS_GRID_BATCH);
-    let outcome_g = run_case_with_cfg(spec, tee_g, cfg);
-    let raced_g =
-        outcome_g.raced() || !analyzer_g.races().is_empty() || !must_g.races().is_empty();
-    let verdict_g = classify(&outcome_g, raced_g).map_err(|e| {
-        format!("seed {seed} ({} / {plan:?}, batched): {e}", spec.name())
-    })?;
-
     // Equivalence: a recovered run must reach the fault-free verdict.
     // Only comparable when the faulted run survived to a verdict at all.
-    // The batched run, when *it* survives, folds into the same
-    // flag (logical AND) — the JSON shape stays untouched.
     let equivalent = match verdict {
         ChaosVerdict::Raced | ChaosVerdict::Clean => {
-            let (tee_b, analyzer_b, must_b) = supervised_stack(1);
+            let (tee_b, analyzer_b, must_b) = supervised_stack();
             let baseline_cfg = WorldCfg { fault: None, ..cfg };
             let baseline = run_case_with_cfg(spec, tee_b, baseline_cfg);
             let baseline_raced = baseline.raced()
                 || !analyzer_b.races().is_empty()
                 || !must_b.races().is_empty();
-            let mut eq = raced == baseline_raced;
-            if matches!(verdict_g, ChaosVerdict::Raced | ChaosVerdict::Clean) {
-                eq = eq && raced_g == baseline_raced;
-            }
-            Some(eq)
+            Some(raced == baseline_raced)
         }
         _ => None,
     };

@@ -1,21 +1,20 @@
 //! Verdict-equivalence campaign over the analyzer's delivery grid:
 //! every one of the 240 suite cases must produce the *same* race-or-not
-//! verdict — and therefore the same confusion matrix — under every
-//! combination of transport (`Direct`/`Messages`) and notification
-//! batching (`batch_size` ∈ {1, 8, 64}) as under the default
-//! configuration (Direct, batch 1).
+//! verdict — and therefore the same confusion matrix — under `Messages`
+//! as under the default `Direct` transport.
 //!
-//! Batching only *delays* per-(origin, target) notification delivery
-//! until a synchronization point, and the transport only changes which
-//! thread performs the insertion — neither may change what the detector
-//! reports. Every grid point runs the production store
-//! ([`AnalyzerCfg::build_store`]'s blocked engine); the tree reference
-//! is anchored separately by `replay_fidelity`, which checks blocked
-//! live verdicts against tree replay on all 240 cases. The baseline
-//! sweep is computed once ([`OnceLock`]) and shared by the grid-point
-//! tests, which the harness runs in parallel.
+//! `Messages` batches up to [`BATCH_LEN`] notifications per (origin,
+//! target), which only *delays* their delivery until a synchronization
+//! point, and the transport only changes which thread performs the
+//! insertion — neither may change what the detector reports. Every
+//! grid point runs the production store ([`AnalyzerCfg::build_store`]'s
+//! blocked engine); the tree reference is anchored separately by
+//! `replay_fidelity`, which checks blocked live verdicts against tree
+//! replay on all 240 cases. The baseline sweep is computed once
+//! ([`OnceLock`]) and shared by the grid-point tests, which the harness
+//! runs in parallel.
 
-use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
+use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer, BATCH_LEN};
 use rma_sim::Monitor;
 use rma_suite::{generate_suite, run_case_with_monitor, CaseSpec, Confusion};
 use std::sync::{Arc, OnceLock};
@@ -41,15 +40,15 @@ fn flagged(spec: &CaseSpec, cfg: AnalyzerCfg) -> bool {
     !mon.races().is_empty()
 }
 
-fn grid_cfg(delivery: Delivery, batch_size: usize) -> AnalyzerCfg {
-    AnalyzerCfg { on_race: OnRace::Collect, delivery, batch_size, ..AnalyzerCfg::default() }
+fn grid_cfg(delivery: Delivery) -> AnalyzerCfg {
+    AnalyzerCfg { on_race: OnRace::Collect, delivery, ..AnalyzerCfg::default() }
 }
 
 /// The default configuration's verdicts, computed once for all grid
 /// tests.
 fn baseline() -> &'static [(String, bool)] {
     static BASELINE: OnceLock<Vec<(String, bool)>> = OnceLock::new();
-    BASELINE.get_or_init(|| sweep(grid_cfg(Delivery::Direct, 1)))
+    BASELINE.get_or_init(|| sweep(grid_cfg(Delivery::Direct)))
 }
 
 /// Confusion matrix from a verdict sweep (needs the case list for the
@@ -70,14 +69,13 @@ fn confusion(verdicts: &[(String, bool)]) -> Confusion {
     c
 }
 
-fn assert_grid_point(delivery: Delivery, batch_size: usize) {
+fn assert_grid_point(delivery: Delivery) {
     let base = baseline();
-    let got = sweep(grid_cfg(delivery, batch_size));
+    let got = sweep(grid_cfg(delivery));
     for ((name, want), (_, have)) in base.iter().zip(&got) {
         assert_eq!(
             want, have,
-            "{name}: verdict diverges under {delivery:?}/batch={batch_size} \
-             (baseline {want}, grid point {have})"
+            "{name}: verdict diverges under {delivery:?} (baseline {want}, grid point {have})"
         );
     }
     assert_eq!(confusion(base), confusion(&got), "confusion matrix diverges");
@@ -90,27 +88,9 @@ fn baseline_covers_all_cases() {
     assert_eq!(confusion(baseline()).false_negatives, 0);
 }
 
-#[test]
-fn direct_batch8() {
-    assert_grid_point(Delivery::Direct, 8);
-}
-
-#[test]
-fn direct_batch64() {
-    assert_grid_point(Delivery::Direct, 64);
-}
-
-#[test]
-fn messages_batch1() {
-    assert_grid_point(Delivery::Messages, 1);
-}
-
-#[test]
-fn messages_batch8() {
-    assert_grid_point(Delivery::Messages, 8);
-}
-
+/// `Messages` always batches, at [`BATCH_LEN`] = 64 notifications.
 #[test]
 fn messages_batch64() {
-    assert_grid_point(Delivery::Messages, 64);
+    assert_eq!(BATCH_LEN, 64);
+    assert_grid_point(Delivery::Messages);
 }

@@ -519,7 +519,7 @@ impl<F: FnMut() -> Box<dyn AccessStore + Send>> ReplayTarget for StoreTarget<F> 
                     epoch.unlock_all(win, RankId(r));
                 }
             }
-            TraceEvent::Fence { win } => self.win(win).fence_release(win),
+            TraceEvent::Fence { win } => self.win(win).fence_release(win, |_| true),
             // Replay delivers every notification synchronously.
             TraceEvent::Barrier => self.epoch.barrier_release(|_| true),
             _ => {}
