@@ -218,6 +218,14 @@ for SUITE in rma-must:must_behaviour rma-monitor:analyzer_behaviour \
     echo "    $TEST: 10/10 runs green"
 done
 
+echo "==> BENCH_paper.json: its documented regeneration command reproduces it"
+# The counted claims (race-check visits against tree size, node counts
+# per insertion pattern, Code 2) are pure functions of the code. Tier-1's
+# paper_counts test compares the library's output; this compares what
+# the release binary prints, byte for byte.
+./target/release/repro_counts | cmp - BENCH_paper.json
+echo "    repro_counts == BENCH_paper.json"
+
 echo "==> bench_hotpath smoke: runs, self-validates, baseline stays well-formed"
 # The smoke benchmark must complete quickly and emit a schema-valid
 # report; the checked-in baseline must stay schema-valid too (it is

@@ -20,8 +20,8 @@
 //! batching, receiver threads, epoch drain) through a two-rank simulated
 //! world on the production store (`Messages` batches 64 notifications
 //! per target, `rma_monitor::BATCH_LEN`). The live analyzer has no tree
-//! engine, so this row has no reference to be guarded against; its
-//! rounds are plain repeated samples.
+//! engine, so this row has no reference to be guarded against; each of
+//! its rounds times one whole world run, after one untimed warm-up run.
 //!
 //! The JSON is byte-stable modulo the timing fields: `events`,
 //! `peak_nodes`, `fast_hit_rate` and `races` are pure functions of the
@@ -30,8 +30,8 @@
 //!
 //! Flags:
 //!
-//! * `--smoke` — tiny workloads and 7 rounds each, for CI under
-//!   `timeout`;
+//! * `--smoke` — tiny workloads and 7 rounds each (`live/churn`: 3),
+//!   for CI under `timeout`;
 //! * `--out <path>` — where to write the JSON (default
 //!   `BENCH_hotpath.json` in the current directory);
 //! * `--check <path>` — validate an existing report instead of
@@ -52,7 +52,6 @@ use rma_core::{
 };
 use rma_monitor::{AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, RankId, World, WorldCfg};
-use rma_substrate::bench::BenchGroup;
 use rma_substrate::json::{self, Value};
 use rma_trace::{replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader};
 use std::hint::black_box;
@@ -596,30 +595,32 @@ fn main() -> ExitCode {
         }
     }
     // Live `Messages`-pipeline run on the production store, batch 64.
-    // One bench iteration is one complete two-rank world run.
+    // One round is one complete two-rank world run. The first run gives
+    // the stats columns and warms up, untimed.
     let live_ops: u64 = if smoke { 2_000 } else { 100_000 };
-    let mut group = BenchGroup::new("bench_hotpath");
-    group.sample_size(if smoke { 3 } else { ROUNDS });
-    // Deterministic pass for the stats columns, outside the timer.
     let mon = live_churn_run(live_ops);
     let stats: Vec<_> = mon.window_stats().into_iter().flatten().collect();
     let recorded: u64 = stats.iter().map(|s| s.recorded as u64).sum();
     let fast: u64 = stats.iter().map(|s| s.fast_hits as u64).sum();
     let fast_hit_rate = if recorded == 0 { 0.0 } else { fast as f64 / recorded as f64 };
     let peak_nodes = mon.total_peak_nodes();
-    group.bench(format!("live/churn/{PRODUCTION}"), || {
-        black_box(live_churn_run(live_ops).races().len())
-    });
-    let res = group.results().last().expect("just benched");
-    rows.push(Row {
+    let round_ns = (0..if smoke { 3 } else { ROUNDS })
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(live_churn_run(live_ops));
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    let row = Row {
         workload: "live/churn".to_string(),
         config: PRODUCTION,
         peak_nodes,
         fast_hit_rate,
         races: 0,
-        ..Row::timed(res.samples_ns.clone(), live_ops as usize)
-    });
-    group.finish();
+        ..Row::timed(round_ns, live_ops as usize)
+    };
+    eprintln!("bench_hotpath/live/churn/{PRODUCTION}: median {:.1} ns", row.median_ns);
+    rows.push(row);
 
     let json = report_json(smoke, &rows);
     if let Err(e) = check_report(&json) {

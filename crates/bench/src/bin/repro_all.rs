@@ -1,5 +1,6 @@
 //! Runs every repro binary's experiment in sequence (Tables 2-4,
-//! Figures 5, 9-12, Code 2). Equivalent to invoking each repro_* binary.
+//! Figures 5, 9-12, Code 2, and the counted rows of `BENCH_paper.json`).
+//! Equivalent to invoking each repro_* binary.
 
 use std::process::Command;
 
@@ -9,6 +10,7 @@ fn main() {
         "repro_table3",
         "repro_fig5",
         "repro_code2",
+        "repro_counts",
         "repro_fig9",
         "repro_fig10",
         "repro_table4",

@@ -10,42 +10,17 @@
 //! (LLVM's alias analysis would typically remove them), so the legacy
 //! count here is the loop's RMA accesses: 2 records (origin+target) per
 //! get. The contribution's count matches the paper's "size two" claim
-//! shape: one merged node per access population.
+//! shape: one merged node per access population. The same counts are
+//! the `code2` rows of `BENCH_paper.json` ([`rma_bench::code2`]).
 
-use rma_apps::{Method, MethodRun};
-use rma_bench::Table;
-use rma_sim::{RankId, World, WorldCfg};
-
-fn run(method: Method) -> (usize, usize) {
-    let run = MethodRun::new(method, 2);
-    let out = World::run(WorldCfg::with_ranks(2), run.monitor.clone(), |ctx| {
-        let win = ctx.win_allocate(2048);
-        let buf = ctx.alloc(1024);
-        ctx.win_lock_all(win);
-        if ctx.rank() == RankId(0) {
-            for i in 0..1000u64 {
-                ctx.get(&buf, i, 1, RankId(1), i, win);
-            }
-            // The extra Get re-reading target location 0 (a remote
-            // read/read, absorbed by the contribution). Its origin
-            // buffer is distinct — two gets *writing* the same origin
-            // byte would themselves be a race (Table 1's RMA_W/RMA_W
-            // cell), which the paper's illustration glosses over.
-            ctx.get(&buf, 1000, 1, RankId(1), 0, win);
-        }
-        ctx.win_unlock_all(win);
-        ctx.barrier();
-    });
-    assert!(!out.raced(), "code 2 contains no data race... except the final re-get");
-    let analyzer = run.analyzer.as_ref().expect("analyzer method");
-    (analyzer.total_peak_nodes(), analyzer.total_recorded())
-}
+use rma_apps::Method;
+use rma_bench::{code2, Table};
 
 fn main() {
     println!("Code 2 (Figure 8b): 1,000-iteration MPI_Get loop + one extra get\n");
     let mut t = Table::new(&["method", "BST nodes (peak)", "accesses recorded"]);
     for method in [Method::Legacy, Method::FragmentOnly, Method::Contribution] {
-        let (nodes, recorded) = run(method);
+        let (nodes, recorded) = code2(method);
         t.row(&[method.name().to_string(), nodes.to_string(), recorded.to_string()]);
     }
     t.print();

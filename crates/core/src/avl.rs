@@ -261,38 +261,43 @@ impl Avl {
     /// Visits every stored access whose interval intersects `query`, in
     /// address order, using the `max_hi` augmentation for pruning. The
     /// callback can stop the walk early by returning
-    /// [`ControlFlow::Break`].
+    /// [`ControlFlow::Break`]. `visit` runs once per node the walk
+    /// enters, pruned or not: the query's cost, which `rma-bench`'s
+    /// `check_visits` rows count. Other callers pass `&mut || {}`.
     pub fn for_each_overlapping(
         &self,
         query: Interval,
+        visit: &mut impl FnMut(),
         f: &mut impl FnMut(&MemAccess) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         fn walk(
             n: &Option<Box<Node>>,
             q: Interval,
+            visit: &mut impl FnMut(),
             f: &mut impl FnMut(&MemAccess) -> ControlFlow<()>,
         ) -> ControlFlow<()> {
             let Some(node) = n else { return ControlFlow::Continue(()) };
+            visit();
             if node.max_hi < q.lo {
                 // Nothing in this subtree reaches the query.
                 return ControlFlow::Continue(());
             }
-            walk(&node.left, q, f)?;
+            walk(&node.left, q, visit, f)?;
             if node.acc.interval.intersects(&q) {
                 f(&node.acc)?;
             }
             if node.acc.interval.lo <= q.hi {
-                walk(&node.right, q, f)?;
+                walk(&node.right, q, visit, f)?;
             }
             ControlFlow::Continue(())
         }
-        walk(&self.root, query, f)
+        walk(&self.root, query, visit, f)
     }
 
     /// Collects every stored access intersecting `query`, in address order.
     pub fn overlapping(&self, query: Interval) -> Vec<MemAccess> {
         let mut out = Vec::new();
-        let _ = self.for_each_overlapping(query, &mut |a| {
+        let _ = self.for_each_overlapping(query, &mut || {}, &mut |a| {
             out.push(*a);
             ControlFlow::Continue(())
         });
@@ -469,7 +474,7 @@ mod tests {
             t.insert(acc(lo * 10, lo * 10 + 5));
         }
         let mut seen = 0;
-        let flow = t.for_each_overlapping(Interval::new(0, 1000), &mut |_| {
+        let flow = t.for_each_overlapping(Interval::new(0, 1000), &mut || {}, &mut |_| {
             seen += 1;
             if seen == 3 {
                 ControlFlow::Break(())

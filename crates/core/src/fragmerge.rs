@@ -146,13 +146,20 @@ impl FragMergeStore {
     /// Exposed separately so callers (and tests) can run the detection
     /// without mutating the store.
     pub fn check(&self, acc: &MemAccess) -> Option<RaceReport> {
+        self.check_visiting(acc, &mut || {})
+    }
+
+    /// [`FragMergeStore::check`], calling `visit` once per tree node its
+    /// interval query enters: the Section 4.2 cost of the race check,
+    /// which `rma-bench`'s `check_visits` rows count.
+    pub fn check_visiting(&self, acc: &MemAccess, visit: &mut impl FnMut()) -> Option<RaceReport> {
         // Cheap reject: no stored interval intersects `acc` if the cached
         // bounding interval doesn't.
         if self.hull.is_none_or(|h| h.intersection(&acc.interval).is_none()) {
             return None;
         }
         let mut hit = None;
-        let _ = self.tree.for_each_overlapping(acc.interval, &mut |stored| {
+        let _ = self.tree.for_each_overlapping(acc.interval, visit, &mut |stored| {
             if conflicts(stored, acc) {
                 hit = Some(RaceReport::new(*stored, *acc));
                 ControlFlow::Break(())
@@ -172,7 +179,7 @@ impl FragMergeStore {
         //    neighbours are candidates for the merging pass).
         let mut inter = std::mem::take(&mut self.inter);
         inter.clear();
-        let _ = self.tree.for_each_overlapping(acc.interval.widened(), &mut |a| {
+        let _ = self.tree.for_each_overlapping(acc.interval.widened(), &mut || {}, &mut |a| {
             inter.push(*a);
             ControlFlow::Continue(())
         });

@@ -1,8 +1,10 @@
 //! Model-based testing of the AVL multiset against a sorted-vector
 //! reference: random interleavings of inserts, exact removals and
 //! overlap queries must agree, with structural invariants holding after
-//! every operation. Runs on the `rma_substrate::prop` harness.
+//! every operation and every query's node visits within its bound. Runs
+//! on the `rma_substrate::prop` harness.
 
+use core::ops::ControlFlow;
 use rma_core::avl::Avl;
 use rma_core::{AccessKind, Interval, MemAccess, RankId, SrcLoc};
 use rma_substrate::prop::{shrink_vec, Gen, Prop};
@@ -64,7 +66,25 @@ fn avl_matches_vector_model() {
                     }
                     Op::Query { lo, len } => {
                         let q = Interval::sized(lo, len);
-                        let mut got = tree.overlapping(q);
+                        let (mut got, mut visits) = (Vec::new(), 0);
+                        let _ = tree.for_each_overlapping(q, &mut || visits += 1, &mut |a| {
+                            got.push(*a);
+                            ControlFlow::Continue(())
+                        });
+                        // The query's cost (Section 4.2). It enters every
+                        // node it reports. Every node it enters is the
+                        // root or a child of an entered node it did not
+                        // prune, and those lie on the search path for
+                        // `q.hi` or on a path to a reported node: at most
+                        // 1 + 2h(k + 1) visits. On the store's disjoint
+                        // trees a one-overlap probe costs at most 2h
+                        // (`paper_counts`); here overlapping intervals let
+                        // the paths to the k reports part near the root.
+                        let (h, k) = (tree.height() as usize, got.len());
+                        assert!(
+                            k <= visits && visits <= 1 + 2 * h * (k + 1),
+                            "{visits} visits for {k} overlaps at height {h}"
+                        );
                         let mut want: Vec<MemAccess> = model
                             .iter()
                             .copied()

@@ -14,7 +14,8 @@
 //!   notifications per (origin, target) into one message;
 //! * at `MPI_Win_unlock_all`, all processes join a reduction computing
 //!   how many remote accesses were issued towards each window, and wait
-//!   for those notifications to be processed before the epoch closes;
+//!   for those notifications to be processed before the epoch closes
+//!   (notifications still missing after 30 s abort the world);
 //! * a fence or barrier release first drains the notifications in
 //!   flight.
 //!
@@ -41,6 +42,10 @@ use std::time::{Duration, Instant};
 /// buffer fills and at every synchronization point (`unlock_all`,
 /// `fence`, `barrier`, world end).
 pub const BATCH_LEN: usize = 64;
+
+/// How long `unlock_all` waits for the notifications the epoch-end
+/// reduction counts before it declares them lost and aborts the world.
+const UNLOCK_PATIENCE: Duration = Duration::from_secs(30);
 
 /// Which insertion algorithm backs the per-(rank, window) stores.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -231,14 +236,17 @@ impl WinDet {
         self.wait_until(|| received() >= expected, Duration::from_secs(5), cancelled)
     }
 
-    /// Waits until `received[rank] >= expected`; `false` on cancel/timeout.
-    fn wait_received(&self, rank: RankId, expected: u64, cancelled: impl Fn() -> bool) -> bool {
+    /// Waits until `received[rank] >= expected`; `false` on cancel or
+    /// after `patience`.
+    fn wait_received(
+        &self,
+        rank: RankId,
+        expected: u64,
+        patience: Duration,
+        cancelled: impl Fn() -> bool,
+    ) -> bool {
         let received = &self.received[rank.index()];
-        self.wait_until(
-            || received.load(Ordering::Acquire) >= expected,
-            Duration::from_secs(30),
-            cancelled,
-        )
+        self.wait_until(|| received.load(Ordering::Acquire) >= expected, patience, cancelled)
     }
 
     /// Publishes `n` more processed notifications at `target`.
@@ -807,6 +815,71 @@ impl RmaAnalyzer {
             .collect();
         j.entries.clear();
     }
+
+    /// The `unlock_all` hook, waiting at most `patience` for the
+    /// notifications towards `rank` that the epoch-end reduction counts.
+    fn unlock_all(&self, rank: RankId, win: WinId, patience: Duration) -> HookResult {
+        let inner = &self.inner;
+        let w = inner.windet(win);
+        // Buffered batches contributed to `sent` when issued; flush them
+        // into the channels before the reduction reads those counts, or
+        // `wait_received` would wait for notifications never sent.
+        self.flush_pending_from(rank);
+        let seq = w.epoch_seq[rank.index()].load(Ordering::Relaxed);
+
+        // The paper's epoch-end reduction: every rank contributes its
+        // cumulative per-target notification counts; entry `t` of the sum
+        // is the total number of notifications rank `t` must have
+        // processed before it may clear its store.
+        let sent: Vec<u64> = w.sent[rank.index()].lock().clone();
+        let expected = inner.reduce.allreduce(
+            (win.0, seq, 0),
+            &sent,
+            inner.nranks(),
+            || inner.cancelled(),
+        );
+        let Some(expected) = expected else {
+            // The reduce was cancelled: either another rank aborted the
+            // world, or a receiver thread found a race (poisoning). In
+            // the latter case this rank must escalate the abort itself.
+            return inner.pending_poison();
+        };
+        if !w.wait_received(rank, expected[rank.index()], patience, || inner.cancelled()) {
+            if inner.cancelled() {
+                return inner.pending_poison();
+            }
+            // Notifications the reduction counted never arrived. Closing
+            // the epoch would drop whatever races they carry, so the
+            // world ends the way a receiver lost beyond its respawn
+            // budget ends it.
+            panic!(
+                "RMA-Analyzer rank {} processed {} of {} notifications on window {} \
+                 within {patience:?} at unlock_all; aborting world",
+                rank.0,
+                w.received[rank.index()].load(Ordering::Acquire),
+                expected[rank.index()],
+                win.0
+            );
+        }
+
+        // Did draining surface a race (Messages mode)?
+        inner.pending_poison()?;
+
+        // End of epoch: every notification towards this rank landed.
+        inner.epoch.read().unlock_all(win, rank);
+        w.epoch_seq[rank.index()].fetch_add(1, Ordering::Relaxed);
+
+        // Second phase: nobody leaves unlock_all until every rank cleared,
+        // so next-epoch notifications cannot be swallowed by this clear.
+        let _ = inner
+            .reduce
+            .allreduce((win.0, seq, 1), &[0], inner.nranks(), || inner.cancelled());
+
+        // Epoch boundary: advance this rank's recovery checkpoint (taken
+        // only if its receiver is idle — siblings may still be sending).
+        self.checkpoint_recv_if_quiescent(rank);
+        Ok(())
+    }
 }
 
 impl Monitor for RmaAnalyzer {
@@ -924,52 +997,7 @@ impl Monitor for RmaAnalyzer {
     }
 
     fn on_unlock_all(&self, rank: RankId, win: WinId) -> HookResult {
-        let inner = &self.inner;
-        let w = inner.windet(win);
-        // Buffered batches contributed to `sent` when issued; flush them
-        // into the channels before the reduction reads those counts, or
-        // `wait_received` would wait for notifications never sent.
-        self.flush_pending_from(rank);
-        let seq = w.epoch_seq[rank.index()].load(Ordering::Relaxed);
-
-        // The paper's epoch-end reduction: every rank contributes its
-        // cumulative per-target notification counts; entry `t` of the sum
-        // is the total number of notifications rank `t` must have
-        // processed before it may clear its store.
-        let sent: Vec<u64> = w.sent[rank.index()].lock().clone();
-        let expected = inner.reduce.allreduce(
-            (win.0, seq, 0),
-            &sent,
-            inner.nranks(),
-            || inner.cancelled(),
-        );
-        let Some(expected) = expected else {
-            // The reduce was cancelled: either another rank aborted the
-            // world, or a receiver thread found a race (poisoning). In
-            // the latter case this rank must escalate the abort itself.
-            return inner.pending_poison();
-        };
-        if !w.wait_received(rank, expected[rank.index()], || inner.cancelled()) {
-            return inner.pending_poison();
-        }
-
-        // Did draining surface a race (Messages mode)?
-        inner.pending_poison()?;
-
-        // End of epoch: every notification towards this rank landed.
-        inner.epoch.read().unlock_all(win, rank);
-        w.epoch_seq[rank.index()].fetch_add(1, Ordering::Relaxed);
-
-        // Second phase: nobody leaves unlock_all until every rank cleared,
-        // so next-epoch notifications cannot be swallowed by this clear.
-        let _ = inner
-            .reduce
-            .allreduce((win.0, seq, 1), &[0], inner.nranks(), || inner.cancelled());
-
-        // Epoch boundary: advance this rank's recovery checkpoint (taken
-        // only if its receiver is idle — siblings may still be sending).
-        self.checkpoint_recv_if_quiescent(rank);
-        Ok(())
+        self.unlock_all(rank, win, UNLOCK_PATIENCE)
     }
 
     fn on_flush(&self, _rank: RankId, _win: WinId, _target: RankId) {
@@ -1065,5 +1093,64 @@ mod tests {
         let cfg = AnalyzerCfg::default();
         assert_eq!(cfg.algorithm, Algorithm::FragMerge);
         assert_eq!(cfg.on_race, OnRace::Abort);
+    }
+
+    /// `unlock_all`'s patience in [`lost_notifications_abort_the_world`].
+    const LOST_PATIENCE: Duration = Duration::from_millis(200);
+
+    /// A `Messages` analyzer whose batches from rank 0 to rank 1 are
+    /// lost on the way, and whose `unlock_all` waits [`LOST_PATIENCE`].
+    struct LosingAnalyzer(RmaAnalyzer);
+
+    impl Monitor for LosingAnalyzer {
+        fn on_world_start(&self, nranks: u32) {
+            self.0.on_world_start(nranks);
+        }
+        fn on_abort_view(&self, view: AbortView) {
+            self.0.on_abort_view(view);
+        }
+        fn on_world_end(&self) {
+            self.0.on_world_end();
+        }
+        fn on_win_allocate(&self, rank: RankId, win: WinId, base: u64, len: u64) {
+            self.0.on_win_allocate(rank, win, base, len);
+        }
+        fn on_lock_all(&self, rank: RankId, win: WinId) {
+            self.0.on_lock_all(rank, win);
+        }
+        fn on_rma(&self, ev: &RmaEvent) -> HookResult {
+            self.0.on_rma(ev)
+        }
+        fn on_unlock_all(&self, rank: RankId, win: WinId) -> HookResult {
+            if rank == RankId(0) {
+                self.0.inner.pending.read()[0][1].lock().clear();
+            }
+            self.0.unlock_all(rank, win, LOST_PATIENCE)
+        }
+    }
+
+    /// Three puts whose notifications never reach rank 1: its
+    /// `unlock_all` runs out of patience and aborts the world with a
+    /// structured panic, where it used to close the epoch as if clean.
+    #[test]
+    fn lost_notifications_abort_the_world() {
+        let mon = Arc::new(LosingAnalyzer(RmaAnalyzer::new(AnalyzerCfg {
+            delivery: Delivery::Messages,
+            ..AnalyzerCfg::default()
+        })));
+        let out = rma_sim::World::run(rma_sim::WorldCfg::with_ranks(2), mon, |ctx| {
+            let win = ctx.win_allocate(64);
+            let buf = ctx.alloc(8);
+            ctx.win_lock_all(win);
+            if ctx.rank() == RankId(0) {
+                for i in 0..3 {
+                    ctx.put(&buf, 0, 8, RankId(1), 8 * i, win);
+                }
+            }
+            ctx.win_unlock_all(win);
+        });
+        let [(rank, msg)] = &out.panics[..] else { panic!("one structured panic: {out:?}") };
+        assert_eq!(*rank, RankId(1));
+        assert!(msg.contains("rank 1 processed 0 of 3 notifications on window 0"), "{msg}");
     }
 }

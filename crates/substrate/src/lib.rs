@@ -2,7 +2,7 @@
 //!
 //! The build environment for this workspace has no registry access, so
 //! the workspace is *hermetic*: nothing outside the standard library is
-//! linked. This crate provides the four pieces of infrastructure the
+//! linked. This crate provides the pieces of infrastructure the
 //! rest of the workspace needs and previously pulled from crates.io:
 //!
 //! * [`rng`] — a seeded [SplitMix64](rng::SmallRng) PRNG with
@@ -20,8 +20,7 @@
 //!   queue-depth / blocked-producer accounting.
 //! * [`prop`] — a seeded property-test harness (fixed case count,
 //!   failing-seed reporting, halving shrink for integer/vec inputs)
-//!   replacing `proptest`, and [`bench`] — a warmup + median-of-N timing
-//!   harness with JSON output replacing `criterion`.
+//!   replacing `proptest`.
 //! * [`fs`] — a fault-injectable filesystem shim (torn/short writes,
 //!   `ENOSPC`, failed renames, keyed to a seed like the simulator's
 //!   fault plans) for crash-restart durability testing.
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bench;
 pub mod channel;
 pub mod clock;
 pub mod fs;

@@ -1,4 +1,4 @@
-//! `rma-trace` — record, replay, inspect and benchmark binary RMA event
+//! `rma-trace` — record, replay, minimize and inspect binary RMA event
 //! traces.
 //!
 //! ```text
@@ -9,7 +9,6 @@
 //! rma-trace salvage  FILE [--out FILE]
 //! rma-trace stat     FILE
 //! rma-trace diff     FILE1 FILE2 [--verdict-only]
-//! rma-trace bench    FILE...
 //! rma-trace pump     (--case NAME | FILE) --spool DIR [--tenant T] [--name N] [--wait]
 //! ```
 //!
@@ -40,7 +39,6 @@
 use rma_apps::{run_bfs, run_cfd, run_minivite, BfsCfg, CfdCfg, Method, MethodRun, MiniViteCfg};
 use rma_monitor::{AnalyzerCfg, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, Tee};
-use rma_substrate::bench::BenchGroup;
 use rma_suite::{
     find_accum_case, find_case, generate_suite, run_accum_case_with_monitor,
     run_case_with_monitor,
@@ -61,7 +59,6 @@ const USAGE: &str = "usage:
   rma-trace salvage  FILE [--out FILE]
   rma-trace stat     FILE
   rma-trace diff     FILE1 FILE2 [--verdict-only]
-  rma-trace bench    FILE...
   rma-trace pump     (--case NAME | FILE) --spool DIR [--tenant T] [--name N] [--wait]";
 
 fn main() -> ExitCode {
@@ -74,7 +71,6 @@ fn main() -> ExitCode {
         Some("salvage") => cmd_salvage(&args[1..]),
         Some("stat") => cmd_stat(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("pump") => cmd_pump(&args[1..]),
         _ => Err(USAGE.to_string()),
     };
@@ -511,41 +507,5 @@ fn cmd_pump(args: &[String]) -> Result<ExitCode, String> {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    if args.is_empty() {
-        return Err(format!("bench takes one or more FILEs\n{USAGE}"));
-    }
-    let mut group = BenchGroup::new("trace_replay");
-    group.sample_size(10);
-    for path in args {
-        let trace = load_trace(path)?;
-        let label = std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or(path.as_str())
-            .to_string();
-        for det in Detector::ALL {
-            if det == Detector::Must {
-                // MUST spawns a worker thread per replay; too heavy for a
-                // per-iteration benchmark body, and it has no store to
-                // measure. The store detectors are the comparison the
-                // paper's Table 4 makes.
-                continue;
-            }
-            let outcome = replay(&trace, det);
-            eprintln!(
-                "{label}/{}: {} events, peak_nodes={}, {} race(s)",
-                det.name(),
-                outcome.events,
-                outcome.stats.peak_nodes(),
-                outcome.races.len()
-            );
-            group.bench(format!("{label}/{}", det.name()), || replay(&trace, det).events);
-        }
-    }
-    group.finish();
     Ok(ExitCode::SUCCESS)
 }
