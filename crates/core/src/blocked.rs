@@ -51,6 +51,19 @@
 //! node memory plus one leaf (the first leaf's allocation, which a
 //! cleared store keeps), which keeps the node budget and the memory
 //! gauge, both counted in nodes, meaningful.
+//!
+//! Once a store has two leaves, its index search goes through a table
+//! of leaf hints: 256 leaf indices, direct-mapped by a Fibonacci hash of
+//! the query's 4 KiB page, so each of many interleaved writers finds the
+//! leaf it wrote last. A hint is used only if it is the search's answer
+//! (the first leaf whose last `hi` is at least the query's `lo`, which
+//! is unique), checked against its two neighbouring index entries;
+//! otherwise the store searches and keeps the result. A stale hint (a
+//! hash collision, or leaves opened or merged below it) therefore costs
+//! only the search it fails to replace, and every result, snapshot and
+//! statistic is what the search alone gives. The table is allocated at
+//! the first lookup that needs it, so a one-leaf store never pays for
+//! it, and `clear` keeps it with the first leaf.
 
 use crate::access::MemAccess;
 use crate::conflict::conflicts;
@@ -69,6 +82,30 @@ const CAP: usize = 2 * LEAF;
 
 /// A position in the store: (leaf, index within the leaf).
 type Pos = (usize, usize);
+
+/// Slots in a store's leaf-hint table.
+const HINTS: usize = 256;
+
+/// The leaf-hint table (see module docs), with the count of index
+/// searches the hints did not save.
+struct Hints {
+    /// `leaf[slot(lo)]`: the index answer last found for a query whose
+    /// page hashes there.
+    leaf: [u32; HINTS],
+    searches: u64,
+}
+
+impl Hints {
+    fn boxed() -> Box<Hints> {
+        Box::new(Hints { leaf: [0; HINTS], searches: 0 })
+    }
+}
+
+/// The hint slot of a query starting at `lo`: a Fibonacci hash of its
+/// 4 KiB page.
+fn slot(lo: Addr) -> usize {
+    ((lo >> 12).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
+}
 
 /// The index entry of a (non-empty) leaf.
 fn last_hi(leaf: &[MemAccess]) -> Addr {
@@ -114,7 +151,15 @@ pub struct BlockedStore {
     budget: u32,
     /// Scratch buffer for the fragment / merge passes.
     frags: Vec<MemAccess>,
+    /// Leaf hints, allocated at the first lookup over two or more
+    /// leaves.
+    hints: Option<Box<Hints>>,
 }
+
+// A store is built per (rank, window) per stream, and an empty one
+// costs 52 ns to build, clear and drop against the naive store's 37: the
+// hint table must stay one pointer until a store has a second leaf.
+const _: () = assert!(std::mem::size_of::<BlockedStore>() <= 200);
 
 impl Default for BlockedStore {
     fn default() -> Self {
@@ -142,6 +187,7 @@ impl BlockedStore {
             merge_enabled: merging,
             budget: budget.map_or(0, |cap| u32::try_from(cap.max(2)).unwrap_or(u32::MAX)),
             frags: Vec::new(),
+            hints: None,
         }
     }
 
@@ -179,13 +225,40 @@ impl BlockedStore {
         }
     }
 
+    /// Index searches made over two or more leaves: lookups whose leaf
+    /// hint was missing or stale. Deterministic, unlike their time.
+    pub fn index_searches(&self) -> u64 {
+        self.hints.as_ref().map_or(0, |hints| hints.searches)
+    }
+
+    /// The first leaf whose last `hi` is at least `lo` (or the leaf
+    /// count): the index's `partition_point`, answered by the leaf hint
+    /// when the hint is that answer.
+    #[inline]
+    fn leaf_index(&mut self, lo: Addr) -> usize {
+        let his = &self.his;
+        if his.len() < 2 {
+            return his.partition_point(|&h| h < lo);
+        }
+        let hints = self.hints.get_or_insert_with(Hints::boxed);
+        let hint = &mut hints.leaf[slot(lo)];
+        let h = *hint as usize;
+        if h <= his.len() && (h == 0 || his[h - 1] < lo) && (h == his.len() || his[h] >= lo) {
+            return h;
+        }
+        hints.searches += 1;
+        let l = his.partition_point(|&h| h < lo);
+        *hint = l as u32;
+        l
+    }
+
     /// Position of the first stored access with `hi >= lo`, or the end.
     /// An answer at the head of leaf `i > 0` is given as the end of leaf
     /// `i - 1` (append before prepend).
     #[inline]
-    fn lower_bound(&self, lo: Addr) -> Pos {
+    fn lower_bound(&mut self, lo: Addr) -> Pos {
+        let l = self.leaf_index(lo);
         let leaves = self.leaves();
-        let l = self.his.partition_point(|&h| h < lo);
         if l == leaves.len() {
             return match leaves.last() {
                 Some(leaf) => (l - 1, leaf.len()),
@@ -548,22 +621,105 @@ mod tests {
         MemAccess::new(Interval::new(lo, hi), kind, RankId(rank), SrcLoc::synthetic("leaf.c", line))
     }
 
+    impl BlockedStore {
+        /// Fills every hint slot with an arbitrary leaf index, in range
+        /// or not: no result may change.
+        fn scramble_hints(&mut self, seed: u64) {
+            let n = self.his.len() as u64;
+            let hints = self.hints.get_or_insert_with(Hints::boxed);
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for h in hints.leaf.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *h = if x.is_multiple_of(8) { u32::MAX } else { ((x >> 8) % (n + 2)) as u32 };
+            }
+        }
+    }
+
+    /// A blocked store, its twin whose leaf hints are scrambled before
+    /// every access, and the tree reference: each operation goes to all
+    /// three, which must agree after it, and the two blocked stores
+    /// must also agree leaf by leaf.
+    struct Trio {
+        plain: BlockedStore,
+        scrambled: BlockedStore,
+        tree: FragMergeStore,
+        ops: u64,
+    }
+
+    impl Trio {
+        fn new() -> Trio {
+            Trio::with_budget(None)
+        }
+
+        fn with_budget(budget: Option<usize>) -> Trio {
+            Trio {
+                plain: BlockedStore::with_cfg(true, budget),
+                scrambled: BlockedStore::with_cfg(true, budget),
+                tree: budget.map_or_else(FragMergeStore::new, FragMergeStore::with_budget),
+                ops: 0,
+            }
+        }
+
+        fn record(&mut self, a: MemAccess) {
+            self.ops += 1;
+            self.scrambled.scramble_hints(self.ops);
+            let want = self.tree.record(a);
+            assert_eq!(self.plain.record(a), want, "access {}", self.ops);
+            assert_eq!(self.scrambled.record(a), want, "access {} (scrambled)", self.ops);
+            self.agree();
+        }
+
+        fn restore(&mut self, snap: &[MemAccess]) {
+            self.plain.restore(snap);
+            self.scrambled.restore(snap);
+            self.tree.restore(snap);
+            self.agree();
+            self.same_contents();
+        }
+
+        fn agree(&self) {
+            let stats = self.tree.stats();
+            assert_eq!(self.plain.stats(), stats, "after op {}", self.ops);
+            assert_eq!(self.scrambled.stats(), stats, "after op {} (scrambled)", self.ops);
+            assert_eq!(self.plain.his, self.scrambled.his, "leaf layout after op {}", self.ops);
+        }
+
+        /// The contents agree too: a snapshot of each store, so a cost
+        /// linear in the store for the cases that check it op by op.
+        fn same_contents(&self) {
+            let snap = self.tree.snapshot();
+            assert_eq!(self.plain.snapshot(), snap, "after op {}", self.ops);
+            assert_eq!(self.scrambled.snapshot(), snap, "after op {} (scrambled)", self.ops);
+        }
+
+        /// Checks the contents; the plain store.
+        fn finish(self) -> BlockedStore {
+            self.same_contents();
+            self.scrambled.assert_invariants();
+            self.plain
+        }
+    }
+
+    /// Within-hull lookups: accesses that were not fast hits.
+    fn lookups(b: &BlockedStore) -> usize {
+        b.stats.recorded - b.stats.fast_hits
+    }
+
     /// Interleaved ascending writers: each ends up appending to a leaf
     /// of its own, and the result is the tree's, byte for byte.
     #[test]
     fn interleaved_writers_split_into_own_leaves() {
-        let mut b = BlockedStore::new();
-        let mut t = FragMergeStore::new();
+        let mut trio = Trio::new();
         for i in 0..2000u64 {
             for r in 0..8u64 {
                 let lo = (r << 20) + i * 3;
-                let a = acc(lo, lo + 1, LocalRead, 0, 1 + r as u32);
-                assert_eq!(b.record(a), t.record(a));
+                trio.record(acc(lo, lo + 1, LocalRead, 0, 1 + r as u32));
             }
         }
+        let b = trio.finish();
         b.assert_invariants();
-        assert_eq!(b.snapshot(), t.snapshot());
-        assert_eq!(b.stats(), t.stats());
         // Every leaf holds a single writer's region.
         for leaf in b.leaves() {
             assert_eq!(leaf[0].interval.lo >> 20, leaf[leaf.len() - 1].interval.lo >> 20);
@@ -573,20 +729,18 @@ mod tests {
         assert!(b.leaves().len() <= 16000 / CAP + 16, "{} leaves", b.leaves().len());
     }
 
-    /// Replays `accs` into a blocked store and the tree, step by step,
-    /// and checks the leaf-count bound the gauge relies on.
+    /// Replays `accs` through a [`Trio`], step by step, and checks the
+    /// leaf invariants and the leaf-count bound the gauge relies on.
     fn replay_bounded(accs: impl IntoIterator<Item = MemAccess>) -> BlockedStore {
-        let mut b = BlockedStore::new();
-        let mut t = FragMergeStore::new();
+        let mut trio = Trio::new();
         for a in accs {
-            assert_eq!(b.record(a), t.record(a));
+            trio.record(a);
+            let b = &trio.plain;
             b.assert_invariants(); // no two short leaves side by side
             let (leaves, n) = (b.leaves().len(), b.stats.len);
             assert!(leaves <= 4 * n / LEAF + 1, "{leaves} leaves for {n} nodes");
         }
-        assert_eq!(b.snapshot(), t.snapshot());
-        assert_eq!(b.stats(), t.stats());
-        b
+        trio.finish()
     }
 
     /// A descending writer above a nearly full leaf: every access lands
@@ -646,21 +800,37 @@ mod tests {
         assert!(lens.iter().all(|&n| n >= LEAF / 2), "{lens:?}");
     }
 
-    /// Restore is exact, loads into fresh leaves, and rebuilds the hull.
+    /// Restore is exact, loads into fresh leaves (leaving every hint
+    /// stale), and rebuilds the hull.
     #[test]
     fn restore_is_exact() {
-        let mut b = BlockedStore::new();
+        let mut trio = Trio::new();
         for i in 0..500u64 {
-            b.record(acc(i * 10, i * 10 + 3, RmaWrite, 1, 1)).unwrap();
+            for r in 0..4u64 {
+                trio.record(acc((r << 20) + i * 10, (r << 20) + i * 10 + 3, RmaWrite, 1, 1));
+            }
         }
-        let snap = b.snapshot();
-        b.record(acc(10_000, 10_009, RmaWrite, 1, 2)).unwrap();
-        b.restore(&snap);
-        b.assert_invariants();
-        assert_eq!(b.snapshot(), snap);
-        let fast = b.stats().fast_hits;
-        b.record(acc(10_000, 10_009, LocalWrite, 0, 3)).unwrap();
-        assert_eq!(b.stats().fast_hits, fast + 1, "stale hull must not linger");
+        let snap = trio.plain.snapshot();
+        for i in 0..300u64 {
+            trio.record(acc((5 << 19) + i * 10, (5 << 19) + i * 10 + 3, RmaWrite, 1, 2));
+        }
+        trio.restore(&snap);
+        trio.plain.assert_invariants();
+        assert_eq!(trio.plain.snapshot(), snap);
+        for i in 500..700u64 {
+            for r in 0..4u64 {
+                trio.record(acc((r << 20) + i * 10, (r << 20) + i * 10 + 3, RmaRead, 1, 3));
+            }
+        }
+        let top = 4 << 20;
+        trio.record(acc(top, top + 9, RmaWrite, 1, 4));
+        let snap = trio.plain.snapshot();
+        trio.record(acc(top + 100, top + 109, RmaWrite, 1, 4));
+        trio.restore(&snap);
+        let fast = trio.plain.stats().fast_hits;
+        trio.record(acc(top + 100, top + 109, LocalWrite, 0, 5));
+        assert_eq!(trio.plain.stats().fast_hits, fast + 1, "stale hull must not linger");
+        trio.finish();
     }
 
     /// The first leaf grows from empty, doubling, and stops at `CAP`:
@@ -682,10 +852,12 @@ mod tests {
         b.assert_invariants();
         assert_eq!((b.leaves().len(), b.his.len()), (2, 2));
         assert!(b.leaves().iter().all(|leaf| leaf.capacity() == CAP));
+        assert!(b.hints.is_none(), "no lookup has needed the hint table yet");
     }
 
     /// `clear` keeps the first leaf's allocation, also when the store
-    /// had grown many leaves, and the next epoch records into it.
+    /// had grown many leaves, and the next epoch records into it. The
+    /// hint table survives too.
     #[test]
     fn clear_reuses_the_first_leaf() {
         let mut b = BlockedStore::new();
@@ -702,30 +874,124 @@ mod tests {
         assert_eq!(b.stats().fast_hits, fast + 1, "clear must reset the cached hull");
 
         for i in 0..1000u64 {
-            b.record(acc(100 + 3 * i, 101 + 3 * i, LocalRead, 0, 3)).unwrap();
+            for r in [1u64, 0] {
+                b.record(acc((r << 20) + 100 + 3 * i, (r << 20) + 101 + 3 * i, LocalRead, 0, 3))
+                    .unwrap();
+            }
         }
         assert!(b.leaves().len() > 1);
+        assert!(b.hints.is_some());
         b.clear();
         b.assert_invariants();
         assert_eq!(b.first.capacity(), CAP, "a leaf survives a many-leaf epoch");
-        assert_eq!((b.stats().epochs, b.stats().cum_epoch_end_len), (2, 6 + 1001));
+        assert!(b.hints.is_some(), "the hint table survives a clear");
+        assert_eq!((b.stats().epochs, b.stats().cum_epoch_end_len), (2, 6 + 2001));
     }
 
     /// A budget crossed while the first leaf is still growing coalesces
-    /// it exactly as the tree does, and the store stays well formed.
+    /// it exactly as the tree does, and the store stays well formed; so
+    /// does one crossed over many leaves, whose reload leaves every hint
+    /// stale.
     #[test]
     fn budget_coalesces_a_grown_first_leaf() {
-        let mut b = BlockedStore::with_cfg(true, Some(8));
-        let mut t = FragMergeStore::with_budget(8);
+        let mut trio = Trio::with_budget(Some(8));
         for i in 0..40u64 {
-            let a = acc(10 * i, 10 * i + 2, if i % 3 == 0 { RmaWrite } else { RmaRead }, 1, 1);
-            assert_eq!(b.record(a), t.record(a));
-            b.assert_invariants();
-            assert_eq!(b.snapshot(), t.snapshot(), "after access {i}");
-            assert_eq!(b.stats(), t.stats(), "after access {i}");
+            let kind = if i % 3 == 0 { RmaWrite } else { RmaRead };
+            trio.record(acc(10 * i, 10 * i + 2, kind, 1, 1));
+            trio.plain.assert_invariants();
+            trio.same_contents(); // coalescing rewrites the whole store
         }
-        assert!(b.stats().coalesced > 0, "the budget must coalesce");
-        let probe = acc(51, 52, LocalWrite, 0, 2);
-        assert_eq!(b.record(probe), t.record(probe));
+        assert!(trio.plain.stats().coalesced > 0, "the budget must coalesce");
+        trio.record(acc(51, 52, LocalWrite, 0, 2));
+        trio.finish();
+
+        let mut trio = Trio::with_budget(Some(600));
+        for i in 0..400u64 {
+            for r in 0..4u64 {
+                let kind = if (i + r) % 3 == 0 { RmaWrite } else { RmaRead };
+                trio.record(acc((r << 20) + 10 * i, (r << 20) + 10 * i + 2, kind, 1, 1));
+                trio.same_contents();
+            }
+        }
+        assert!(trio.plain.stats().coalesced > 0, "the budget must coalesce");
+        assert!(trio.plain.leaves().len() > 2);
+        trio.finish();
+    }
+
+    /// A hint slot's page: the `n`-th page at or above `from` whose
+    /// slot is `slot`.
+    fn page_in_slot(slot_of: usize, from: u64, n: usize) -> u64 {
+        (from..).filter(|&p| slot(p << 12) == slot_of).nth(n).unwrap()
+    }
+
+    /// Two ascending writers whose pages share a hint slot, below an
+    /// access that keeps both inside the hull: each evicts the other's
+    /// hint, so nearly every lookup searches, and every result is still
+    /// the tree's.
+    #[test]
+    fn writers_sharing_a_hint_slot() {
+        let (p, q) = (page_in_slot(7, 0, 0), page_in_slot(7, 1 << 10, 0));
+        assert_eq!(slot(p << 12), slot(q << 12));
+        let mut trio = Trio::new();
+        trio.record(acc(1 << 40, 1 << 40, LocalRead, 0, 9));
+        for i in 0..1300u64 {
+            for (page, line) in [(p, 1), (q, 2)] {
+                let lo = (page << 12) + 3 * i;
+                trio.record(acc(lo, lo + 1, LocalRead, 0, line));
+            }
+        }
+        let b = trio.finish();
+        assert!(b.leaves().len() > 10);
+        assert!(b.index_searches() as usize > lookups(&b) * 9 / 10, "{}", b.index_searches());
+    }
+
+    /// A writer's hint goes stale when a writer below it opens leaves
+    /// (its leaf index shifts up): the stale hint is rejected, searched
+    /// past and replaced, and the result is the tree's.
+    #[test]
+    fn leaves_opened_below_a_hinted_leaf() {
+        let (low, high) = (1 << 20, 8 << 20);
+        let mut trio = Trio::new();
+        trio.record(acc(1 << 40, 1 << 40, LocalRead, 0, 9));
+        let write = |trio: &mut Trio, base: u64, from: u64, n: u64, line: u32| {
+            for i in from..from + n {
+                trio.record(acc(base + 3 * i, base + 3 * i + 1, LocalRead, 0, line));
+            }
+        };
+        write(&mut trio, high, 0, 300, 1);
+        write(&mut trio, low, 0, 400, 2);
+        let before = trio.plain.index_searches();
+        write(&mut trio, high, 300, 1, 1);
+        assert_eq!(trio.plain.index_searches(), before + 1, "the shifted hint is rejected");
+        write(&mut trio, high, 301, 1, 1);
+        assert_eq!(trio.plain.index_searches(), before + 1, "and replaced");
+        write(&mut trio, high, 302, 300, 1);
+        trio.finish();
+    }
+
+    /// The deterministic cost column: index searches for one ascending
+    /// writer and for 64 interleaved writers (the churn pattern), against
+    /// the within-hull lookups they make. A lookup searches only when its
+    /// writer enters a page or its leaf's index moves (a leaf opened
+    /// below it), or when another writer's page took its hint slot.
+    #[test]
+    fn index_search_counts() {
+        let mut b = BlockedStore::new();
+        b.record(acc(1 << 40, 1 << 40, LocalRead, 0, 9)).unwrap();
+        for i in 0..20_000u64 {
+            b.record(acc(3 * i, 3 * i + 1, LocalRead, 0, 1)).unwrap();
+        }
+        assert_eq!((lookups(&b), b.index_searches()), (19_999, 221));
+
+        let mut b = BlockedStore::new();
+        for i in 0..300u64 {
+            for r in 0..64u64 {
+                let r = (r * 37) % 64;
+                let lo = (r << 20) + i * 3;
+                let kind = if i % 4 == 0 { LocalWrite } else { LocalRead };
+                b.record(acc(lo, lo + 1, kind, 0, r as u32 + 1)).unwrap();
+            }
+        }
+        assert_eq!((lookups(&b), b.index_searches()), (18_895, 2_112));
     }
 }

@@ -134,6 +134,35 @@ impl<C: SlotCell> EpochState<C> {
         }
     }
 
+    /// A run of local accesses of `rank`, in program order, with no
+    /// other event between them: each recorded as by [`EpochState::local`].
+    /// With a single window, the run is recorded under one slot borrow,
+    /// `on` included (replay's slots take no lock). With more, the order
+    /// stays access by access, every window in turn: metered stores share
+    /// one gauge, so recording window by window could change which store
+    /// browns out.
+    pub fn local_run(
+        &self,
+        rank: RankId,
+        accs: impl IntoIterator<Item = MemAccess>,
+        mut on: impl FnMut(WinId, Verdict),
+    ) {
+        match &self.wins[..] {
+            [slots] => slots[rank.index()].with(|s| {
+                if s.open {
+                    for acc in accs {
+                        on(WinId(0), s.store.record(acc));
+                    }
+                }
+            }),
+            _ => {
+                for acc in accs {
+                    self.local(rank, acc, &mut on);
+                }
+            }
+        }
+    }
+
     /// The origin half of an RMA `origin` issued on `win`: it cancels
     /// the origin's pending `flush_all` and lands in the origin's store.
     pub fn rma_origin(&self, win: WinId, origin: RankId, acc: MemAccess) -> Verdict {

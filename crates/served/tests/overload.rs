@@ -11,17 +11,21 @@
 //! * tenant quotas shed with structured, machine-readable verdicts and
 //!   re-admit after drain.
 
+use rma_core::{Interval, MemGauge, RankId, SrcLoc};
 use rma_served::daemon::{run_daemon, DaemonCfg, DaemonExit};
 use rma_served::{
-    recover, ChaosCfg, Durability, RecoveryStats, ServeCfg, ServeError, Service, Spool,
-    StreamReport, Tier, WalRecord, WalWriter,
+    recover, resolve_rcfg, ChaosCfg, Durability, RecoveryStats, ServeCfg, ServeError, Service,
+    Spool, StreamReport, Tier, WalRecord, WalWriter,
 };
-use rma_sim::FaultKind;
+use rma_sim::{FaultKind, RmaDir, WinId};
 use rma_substrate::clock::Clock;
 use rma_substrate::fs::{Fs, FsFault, FsPlan};
 use rma_suite::{generate_suite, run_case_with_monitor};
 use rma_trace::trace::fnv1a;
-use rma_trace::{replay, verdict_line, Detector, TraceWriter};
+use rma_trace::{
+    replay, replay_trace, verdict_line, Detector, ReplayOutcome, ReplayTarget, StoreTarget, Trace,
+    TraceEvent, TraceHeader, TraceWriter, FORMAT_VERSION,
+};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -173,6 +177,125 @@ fn slack_memory_budget_changes_nothing() {
     }
     let (stats, _) = svc.shutdown();
     assert_eq!(stats.tenants["suite"].brownout, 0);
+}
+
+/// A target fed one event at a time (the trait's default `locals`).
+struct PerEvent(Box<dyn ReplayTarget>);
+
+impl ReplayTarget for PerEvent {
+    fn start(&mut self, nranks: u32) {
+        self.0.start(nranks);
+    }
+
+    fn event(&mut self, rank: RankId, ev: &TraceEvent) {
+        self.0.event(rank, ev);
+    }
+
+    fn arrive(&mut self, rank: RankId, ev: &TraceEvent) {
+        self.0.arrive(rank, ev);
+    }
+
+    fn release(&mut self, ev: &TraceEvent) {
+        self.0.release(ev);
+    }
+
+    fn rank_finish(&mut self, rank: RankId) {
+        self.0.rank_finish(rank);
+    }
+
+    fn finish(self: Box<Self>, events: usize, complete: bool) -> ReplayOutcome {
+        self.0.finish(events, complete)
+    }
+}
+
+/// One rank, two open windows and a long local run, then a write into
+/// the origin buffer of an earlier put: every local access lands in
+/// both windows' stores, which share the service gauge.
+fn two_window_stream() -> Trace {
+    let (w0, w1) = (WinId(0), WinId(1));
+    let loc = |line| SrcLoc::synthetic("metered.c", line);
+    let mut ev = vec![
+        TraceEvent::WinAllocate { win: w0, base: 0, len: 1 << 20 },
+        TraceEvent::WinAllocate { win: w1, base: 1 << 20, len: 1 << 20 },
+        TraceEvent::LockAll { win: w0 },
+        TraceEvent::LockAll { win: w1 },
+        TraceEvent::Rma {
+            dir: RmaDir::Put,
+            target: RankId(0),
+            win: w1,
+            origin_interval: Interval::new(5000, 5007),
+            target_interval: Interval::new(1 << 20, (1 << 20) + 7),
+            origin_on_stack: false,
+            loc: loc(1),
+        },
+    ];
+    for i in 0..400u64 {
+        let lo = i * 16;
+        ev.push(TraceEvent::Local {
+            interval: Interval::new(lo, lo + 3 + i % 3),
+            write: i % 2 == 0,
+            on_stack: false,
+            tracked: true,
+            loc: loc(2 + (i % 5) as u32),
+        });
+    }
+    ev.extend([
+        TraceEvent::Local {
+            interval: Interval::new(5002, 5002),
+            write: true,
+            on_stack: false,
+            tracked: true,
+            loc: loc(9),
+        },
+        TraceEvent::UnlockAll { win: w0 },
+        TraceEvent::UnlockAll { win: w1 },
+        TraceEvent::Finish,
+    ]);
+    Trace {
+        header: TraceHeader {
+            version: FORMAT_VERSION,
+            nranks: 1,
+            seed: 11,
+            app: "metered-two-windows".to_string(),
+        },
+        streams: vec![ev],
+    }
+}
+
+/// Served ≡ direct under a memory budget the stream crosses, with two
+/// windows: the Service replays each decoded chunk a local run at a
+/// time, the direct replay one event at a time under a fresh gauge of
+/// the same budget, and both brown out the same stores at the same
+/// accesses — same verdict, same degradation flags.
+#[test]
+fn metered_two_window_stream_matches_per_event_replay() {
+    let trace = two_window_stream();
+    let bytes = trace.encode();
+    for budget in [4, 16, 64, 300] {
+        let cfg = ServeCfg {
+            workers: 1,
+            memory_budget: Some(budget),
+            ..Default::default()
+        };
+        let rcfg = resolve_rcfg(&cfg);
+        let gauge = MemGauge::new(budget);
+        let target = StoreTarget::new(move || rcfg.build_store_metered(&gauge));
+        let direct = replay_trace(&trace, Box::new(PerEvent(Box::new(target))));
+        assert!(direct.stats.brownouts > 0, "budget {budget}: no brownout");
+
+        let svc = Service::new(cfg);
+        let handle = svc.submit("metered", "two-windows").unwrap();
+        for piece in bytes.chunks(512) {
+            handle.feed(piece).unwrap();
+        }
+        let rep = handle.finish().unwrap();
+        svc.shutdown();
+        assert_eq!(rep.verdict, verdict_line(&direct.races), "budget {budget}");
+        assert_eq!(rep.races, direct.races.len(), "budget {budget}");
+        assert_eq!(rep.degraded, direct.stats.coalesced > 0, "budget {budget}");
+        assert!(rep.brownout, "budget {budget}");
+        assert!(rep.races > 0, "budget {budget}: the origin-buffer write races");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -108,6 +108,13 @@ pub trait ReplayTarget {
     fn start(&mut self, nranks: u32);
     /// A non-collective event of `rank`'s stream.
     fn event(&mut self, rank: RankId, ev: &TraceEvent);
+    /// A run of `rank`'s `Local` events with no other event between
+    /// them, in stream order: each as if passed to [`ReplayTarget::event`].
+    fn locals(&mut self, rank: RankId, run: &[TraceEvent]) {
+        for ev in run {
+            self.event(rank, ev);
+        }
+    }
     /// `rank` arrived at the collective `ev` (and is now parked).
     fn arrive(&mut self, rank: RankId, ev: &TraceEvent);
     /// All ranks arrived at a collective matching `ev`; they are about to
@@ -134,6 +141,16 @@ fn rma_event(origin: RankId, ev: &TraceEvent) -> RmaEvent {
         unreachable!("not an RMA record: {ev:?}")
     };
     RmaEvent { dir, origin, target, win, origin_interval, target_interval, origin_on_stack, loc }
+}
+
+/// The access of `rank`'s recorded `Local` event, or `None` when the
+/// alias analysis filtered it out (untracked).
+fn local_access(rank: RankId, ev: &TraceEvent) -> Option<MemAccess> {
+    let TraceEvent::Local { interval, write, tracked: true, loc, .. } = *ev else {
+        return None;
+    };
+    let kind = if write { AccessKind::LocalWrite } else { AccessKind::LocalRead };
+    Some(MemAccess::new(interval, kind, rank, loc))
 }
 
 /// What a rank is parked on.
@@ -229,7 +246,15 @@ impl<'a> RankState<'a> {
             };
             let events = &seg.events.all()[seg.lo..seg.hi];
             let mut used = events.len();
+            let mut from = 0; // where the current run of `Local` events starts
             for (i, ev) in events.iter().enumerate() {
+                if matches!(ev, TraceEvent::Local { .. }) {
+                    continue;
+                }
+                if from < i {
+                    target.locals(rank, &events[from..i]);
+                }
+                from = i + 1;
                 if let Some(p) = pending_of(ev) {
                     target.arrive(rank, ev);
                     self.parked = Some((p, *ev));
@@ -242,6 +267,9 @@ impl<'a> RankState<'a> {
                 }
                 used = i + 1;
                 break;
+            }
+            if from < used {
+                target.locals(rank, &events[from..used]);
             }
             *fed += used;
             seg.lo += used;
@@ -476,15 +504,7 @@ impl<F: FnMut() -> Box<dyn AccessStore + Send>> ReplayTarget for StoreTarget<F> 
 
     fn event(&mut self, rank: RankId, ev: &TraceEvent) {
         match *ev {
-            TraceEvent::Local { interval, write, tracked, loc, .. } => {
-                if !tracked {
-                    return; // filtered out by the alias analysis
-                }
-                let kind = if write { AccessKind::LocalWrite } else { AccessKind::LocalRead };
-                let acc = MemAccess::new(interval, kind, rank, loc);
-                let races = &mut self.races;
-                self.epoch.local(rank, acc, |_, verdict| races.extend(verdict.err().map(|r| *r)));
-            }
+            TraceEvent::Local { .. } => self.locals(rank, std::slice::from_ref(ev)),
             TraceEvent::Rma { target, win, .. } => {
                 let [origin_acc, target_acc] = rma_halves(&rma_event(rank, ev));
                 let origin = self.win(win).rma_origin(win, rank, origin_acc);
@@ -501,6 +521,13 @@ impl<F: FnMut() -> Box<dyn AccessStore + Send>> ReplayTarget for StoreTarget<F> 
             // `release`, Finish via `rank_finish`.
             _ => {}
         }
+    }
+
+    /// The run's tracked accesses, recorded by [`EpochState::local_run`].
+    fn locals(&mut self, rank: RankId, run: &[TraceEvent]) {
+        let races = &mut self.races;
+        let accs = run.iter().filter_map(|ev| local_access(rank, ev));
+        self.epoch.local_run(rank, accs, |_, verdict| races.extend(verdict.err().map(|r| *r)));
     }
 
     fn arrive(&mut self, rank: RankId, ev: &TraceEvent) {

@@ -9,14 +9,22 @@
 //! reference, the naive store and MUST; every corpus trace at format v1
 //! and v2, also fed through a chunked [`StreamDecoder`]; and every
 //! epoch-aligned truncation of the multi-epoch corpus traces.
+//!
+//! Run dispatch is checked the same way: [`StoreTarget`] takes each run
+//! of local events at once ([`ReplayTarget::locals`]), and must produce
+//! exactly what the same target fed one event at a time produces, on the
+//! suite, the corpus, and hand-built two-window traces (plain and with
+//! metered stores sharing one gauge).
 
+use rma_core::{Interval, MemGauge, RankId, SrcLoc};
 use rma_monitor::{Algorithm, AnalyzerCfg};
+use rma_sim::{RmaDir, WinId};
 use rma_substrate::rng::SmallRng;
 use rma_suite::{generate_suite, run_case_with_monitor};
 use rma_trace::format::is_epoch_boundary;
 use rma_trace::{
     replay_trace, MustTarget, ReplayOutcome, ReplayTarget, Replayer, StoreTarget, StreamDecoder,
-    Trace, TraceEvent, TraceWriter,
+    Trace, TraceEvent, TraceHeader, TraceWriter, FORMAT_VERSION,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -152,6 +160,46 @@ fn check(what: &str, trace: &Trace) {
     }
 }
 
+/// A target fed one event at a time: it keeps the trait's default
+/// [`ReplayTarget::locals`], so every run reaches the inner target
+/// through [`ReplayTarget::event`].
+struct PerEvent(Box<dyn ReplayTarget>);
+
+impl ReplayTarget for PerEvent {
+    fn start(&mut self, nranks: u32) {
+        self.0.start(nranks);
+    }
+
+    fn event(&mut self, rank: RankId, ev: &TraceEvent) {
+        self.0.event(rank, ev);
+    }
+
+    fn arrive(&mut self, rank: RankId, ev: &TraceEvent) {
+        self.0.arrive(rank, ev);
+    }
+
+    fn release(&mut self, ev: &TraceEvent) {
+        self.0.release(ev);
+    }
+
+    fn rank_finish(&mut self, rank: RankId) {
+        self.0.rank_finish(rank);
+    }
+
+    fn finish(self: Box<Self>, events: usize, complete: bool) -> ReplayOutcome {
+        self.0.finish(events, complete)
+    }
+}
+
+/// Run dispatch ≡ per-event dispatch for every store-based detector.
+fn check_runs(what: &str, trace: &Trace) {
+    for det in [Det::Production, Det::Tree, Det::Naive] {
+        let runs = replay_trace(trace, target(det));
+        let per_event = replay_trace(trace, Box::new(PerEvent(target(det))));
+        assert_same(&format!("{what} {det:?} runs"), &runs, &per_event);
+    }
+}
+
 #[test]
 fn every_suite_case_replays_the_same_in_any_batches() {
     let cases = generate_suite();
@@ -159,7 +207,9 @@ fn every_suite_case_replays_the_same_in_any_batches() {
     for spec in &cases {
         let writer = Arc::new(TraceWriter::new(spec.name(), 0x5EED));
         run_case_with_monitor(spec, writer.clone());
-        check(spec.name().as_ref(), &writer.trace());
+        let trace = writer.trace();
+        check(spec.name().as_ref(), &trace);
+        check_runs(spec.name().as_ref(), &trace);
     }
 }
 
@@ -199,6 +249,128 @@ fn every_corpus_trace_replays_the_same_at_v1_and_v2() {
             assert_eq!(decoded.streams, trace.streams, "{name} v{version}");
             check(&format!("{name} v{version}"), &decoded);
         }
+        check_runs(&name, &trace);
+    }
+}
+
+fn local(lo: u64, hi: u64, write: bool, tracked: bool, line: u32) -> TraceEvent {
+    TraceEvent::Local {
+        interval: Interval::new(lo, hi),
+        write,
+        on_stack: false,
+        tracked,
+        loc: SrcLoc::synthetic("two_windows.c", line),
+    }
+}
+
+fn put(target: u32, win: WinId, origin: u64, at: u64, line: u32) -> TraceEvent {
+    TraceEvent::Rma {
+        dir: RmaDir::Put,
+        target: RankId(target),
+        win,
+        origin_interval: Interval::new(origin, origin + 7),
+        target_interval: Interval::new(at, at + 7),
+        origin_on_stack: false,
+        loc: SrcLoc::synthetic("two_windows.c", line),
+    }
+}
+
+fn two_rank_trace(app: &str, streams: Vec<Vec<TraceEvent>>) -> Trace {
+    Trace {
+        header: TraceHeader {
+            version: FORMAT_VERSION,
+            nranks: streams.len() as u32,
+            seed: 7,
+            app: app.to_string(),
+        },
+        streams,
+    }
+}
+
+/// Two windows, and one stretch of rank 0's stream between sync points
+/// that holds a `LockAll` on window 1 (which ends a local run) and an
+/// untracked access (which does not): accesses before the `LockAll` land
+/// in window 0's store only, those after it in both, the untracked one
+/// in neither. Both races (a local write over a put's origin buffer, a
+/// local read under a put's target) are found either way.
+#[test]
+fn run_dispatch_matches_per_event_on_two_windows() {
+    let (w0, w1) = (WinId(0), WinId(1));
+    let open = || {
+        vec![
+            TraceEvent::WinAllocate { win: w0, base: 0, len: 4096 },
+            TraceEvent::WinAllocate { win: w1, base: 8192, len: 4096 },
+        ]
+    };
+    let close = [
+        TraceEvent::UnlockAll { win: w0 },
+        TraceEvent::UnlockAll { win: w1 },
+        TraceEvent::Barrier,
+        TraceEvent::Finish,
+    ];
+    let mut r0 = open();
+    r0.extend([
+        TraceEvent::LockAll { win: w0 },
+        put(1, w0, 100, 0, 1),
+        local(100, 103, true, true, 2),
+        local(200, 207, true, false, 3),
+        TraceEvent::LockAll { win: w1 },
+        local(104, 107, true, true, 4),
+        put(1, w1, 300, 8192, 5),
+        local(300, 300, false, true, 6),
+        local(400, 407, true, true, 7),
+    ]);
+    r0.extend(close);
+    let mut r1 = open();
+    r1.extend([
+        TraceEvent::LockAll { win: w0 },
+        TraceEvent::LockAll { win: w1 },
+        local(0, 7, false, true, 8),
+        local(8192, 8195, false, true, 9),
+    ]);
+    r1.extend(close);
+    let trace = two_rank_trace("two-windows", vec![r0, r1]);
+    let out = replay_trace(&trace, target(Det::Production));
+    assert!(out.complete && out.races.len() >= 2, "{:?}", out.races);
+    check_runs("two windows", &trace);
+}
+
+/// Metered stores share one gauge, so the order in which a local run
+/// reaches the windows decides which store browns out first: run
+/// dispatch keeps per-event order, access by access, so statistics and
+/// verdicts stay identical under a budget the run crosses.
+#[test]
+fn run_dispatch_keeps_the_metered_order_across_windows() {
+    let (w0, w1) = (WinId(0), WinId(1));
+    let mut ev = vec![
+        TraceEvent::WinAllocate { win: w0, base: 0, len: 1 << 20 },
+        TraceEvent::WinAllocate { win: w1, base: 1 << 20, len: 1 << 20 },
+        TraceEvent::LockAll { win: w0 },
+        TraceEvent::LockAll { win: w1 },
+        put(0, w1, 5000, 1 << 20, 1),
+    ];
+    for i in 0..40u64 {
+        ev.push(local(i * 16, i * 16 + 3 + (i % 3), i % 2 == 0, true, 2 + (i % 5) as u32));
+    }
+    ev.push(local(5004, 5004, true, true, 9));
+    ev.extend([
+        TraceEvent::UnlockAll { win: w0 },
+        TraceEvent::UnlockAll { win: w1 },
+        TraceEvent::Finish,
+    ]);
+    let trace = two_rank_trace("metered-two-windows", vec![ev]);
+    for budget in [3, 8, 20, 61] {
+        let metered = |gauge: MemGauge| {
+            let cfg = AnalyzerCfg::default();
+            StoreTarget::new(move || cfg.build_store_metered(&gauge))
+        };
+        let runs = replay_trace(&trace, Box::new(metered(MemGauge::new(budget))));
+        let per_event = replay_trace(
+            &trace,
+            Box::new(PerEvent(Box::new(metered(MemGauge::new(budget))))),
+        );
+        assert!(runs.stats.brownouts > 0, "budget {budget}: no brownout");
+        assert_same(&format!("metered budget {budget}"), &runs, &per_event);
     }
 }
 
